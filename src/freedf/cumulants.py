@@ -8,17 +8,19 @@ family on tuples over [n]. Two representations exist:
           #tau <= n), valid exactly when values depend on a tuple only
           through ker(tuple).
 
-The transforms implement the free moment-cumulant formula over NC(m)
-and its Moebius inversion. The inversion weights are the NC(m)-lattice
-Moebius column mu(pi, 1_m), not the full-lattice closed form: the two
-agree for m <= 3 only, and only the former is an inverse.
+The free moment-cumulant formula phi(i) = sum over pi in NC(m) of
+kappa_pi(i) is summed by the block V of pi containing position 1
+(Nica-Speicher, Lecture 11): phi(i) = sum over V of kappa(i|V) times
+phi on each gap of V, 2^(m-1) terms instead of |NC(m)|. Only the term
+V = [m] is of order m, so one recursion, run upward, serves both
+directions.
 """
 
 import itertools
 from fractions import Fraction
 from math import lcm, prod
+from operator import itemgetter
 
-from .categories import S_PLUS, enumerate_category
 from .errors import (
     IncompleteTable,
     NotKernelRepresentable,
@@ -34,9 +36,9 @@ from .partitions import (
     num_blocks,
     parse_index_tuple,
     parse_partition,
+    relabel,
     render_index_tuple,
 )
-from .posets import mobius_to_top_nc
 from .rationals import format_rational, parse_rational
 
 DENSE_GUARD = 10 ** 7
@@ -267,104 +269,100 @@ def _blockwise(table, p, i):
     return out
 
 
-_NC_BLOCKS = {}
+_SHAPES = {}
 
 
-def _nc_block_positions(m):
-    """Blocks (as position tuples) of every partition of NC(m), RGS-lex."""
-    got = _NC_BLOCKS.get(m)
+def _cut(positions):
+    """An itemgetter that returns a key's labels at the positions, as a tuple."""
+    a, b = positions[0], positions[-1] + 1
+    return itemgetter(slice(a, b)) if b - a == len(positions) else itemgetter(*positions)
+
+
+def first_block_shapes(m):
+    """Every first block V of [m] (0 in V, V != [m]) with its gaps.
+
+    The gaps are the maximal runs of positions outside V. A shape is
+    (V, gaps, cut_V, cut_gaps): position tuples and the itemgetters that
+    cut the restricted words out of a key. Built once per m.
+    """
+    got = _SHAPES.get(m)
     if got is None:
-        got = tuple((p, tuple(p.blocks())) for p in enumerate_category(S_PLUS, m))
-        _NC_BLOCKS[m] = got
+        got = []
+        for mask in range(2 ** (m - 1) - 1):
+            V = (0,) + tuple(k for k in range(1, m) if mask >> (k - 1) & 1)
+            runs = itertools.groupby(range(m), V.__contains__)
+            gaps = tuple(tuple(run) for inside, run in runs if not inside)
+            got.append((V, gaps, _cut(V), tuple(map(_cut, gaps))))
+        got = _SHAPES[m] = tuple(got)
     return got
+
+
+class _Words(dict):
+    """Values keyed by kernel classes, also found from any word over them
+    (relabelled once, then cached), so restrictions build no Partition."""
+
+    def __missing__(self, word):
+        key = relabel(word)
+        if key == word:
+            raise KeyError(word)
+        got = self[word] = self[key]
+        return got
 
 
 def moments_from_cumulants(ct):
     """phi(i) = sum over pi in NC(m) of kappa_pi(i), every order <= M."""
-    vals = _transform(ct, weights=None)
-    return MomentTable(ct.n, ct.max_order, vals, repr=ct.repr)
+    return MomentTable(ct.n, ct.max_order, _transform(ct, to_moments=True), repr=ct.repr)
 
 
 def cumulants_from_moments(mt):
-    """Moebius inversion of the moment-cumulant formula over NC(m)."""
-    vals = _transform(mt, weights=mobius_to_top_nc)
-    return CumulantTable(mt.n, mt.max_order, vals, repr=mt.repr)
+    """Inversion of the moment-cumulant formula, order by order."""
+    return CumulantTable(mt.n, mt.max_order, _transform(mt, to_moments=False), repr=mt.repr)
 
 
-def _transform(table, weights):
-    if table.repr == KERNEL:
-        return _transform_kernel(table, weights)
-    return _transform_dense(table, weights)
+def _scale_into(nums, layer):
+    """Store a layer in nums as integers over its least common denominator."""
+    D = lcm(*(v.denominator for v in layer.values()))
+    for key, v in layer.items():
+        nums[key] = v.numerator * (D // v.denominator)
+    return D
 
 
-def _transform_kernel(table, weights):
-    out = {}
-    for m in range(1, table.max_order + 1):
-        w = weights(m) if weights else None
-        layer = {}
-        for tau in table.values[m]:
-            total = Fraction(0)
-            for p, blocks in _nc_block_positions(m):
-                term = Fraction(1)
-                for block in blocks:
-                    sub = tuple(tau[pos] for pos in block)
-                    seen = {}
-                    canon = []
-                    for lab in sub:
-                        if lab not in seen:
-                            seen[lab] = len(seen)
-                        canon.append(seen[lab])
-                    term *= table.values[len(block)][Partition(canon)]
-                total += term if w is None else w[p] * term
-            layer[tau] = total
-        out[m] = layer
-    return out
+def _transform(table, to_moments):
+    """The first-block relation, order by order upward.
 
-
-def _transform_dense(table, weights):
-    """Dense transform over a per-order common denominator.
-
-    Order-m source values are scaled to integers over D_m; each pi in
-    NC(m) then contributes an integer product times a fixed multiplier,
-    so the whole tuple loop runs in integer arithmetic.
+    With s = sum over first_block_shapes(m) of kappa(i|V) * prod phi(i|gap),
+    which reads lower orders only, phi = kappa + s or kappa = phi - s.
+    Both families are integer numerators over per-order denominators, so
+    each key sums integers and divides once.
     """
-    n = table.n
-    flats = {}
-    dens = {}
+    src, dst = ({}, {}) if table.repr == DENSE else (_Words(), _Words())
+    den_src, den_dst = {}, {}
+    if to_moments:
+        kappa, phi, den_kappa, den_phi, sign = src, dst, den_src, den_dst, 1
+    else:
+        kappa, phi, den_kappa, den_phi, sign = dst, src, den_dst, den_src, -1
+    out = {}
     for m in range(1, table.max_order + 1):
         layer = table.values[m]
-        D = lcm(*(v.denominator for v in layer.values())) if layer else 1
-        flat = [0] * (n ** m)
-        for i, v in layer.items():
-            rank = 0
-            for e in i:
-                rank = rank * n + (e - 1)
-            flat[rank] = int(v * D)
-        flats[m] = flat
-        dens[m] = D
-    out = {}
-    for m in range(1, table.max_order + 1):
-        pis = _nc_block_positions(m)
-        w = weights(m) if weights else None
-        den_pi = [prod(dens[len(b)] for b in blocks) for _, blocks in pis]
-        dstar = lcm(*den_pi) if den_pi else 1
-        mults = []
-        for (p, blocks), dp in zip(pis, den_pi):
-            mult = dstar // dp
-            if w is not None:
-                mult *= w[p]
-            mults.append((blocks, mult))
-        layer = {}
-        for digits in itertools.product(range(n), repeat=m):
-            acc = 0
-            for blocks, mult in mults:
-                term = mult
-                for block in blocks:
-                    rank = 0
-                    for pos in block:
-                        rank = rank * n + digits[pos]
-                    term *= flats[len(block)][rank]
-                acc += term
-            layer[tuple(d + 1 for d in digits)] = Fraction(acc, dstar)
-        out[m] = layer
+        den_src[m] = _scale_into(src, layer)
+        terms = [
+            (cut_v, cut_gaps, den_kappa[len(V)] * prod(den_phi[len(g)] for g in gaps))
+            for V, gaps, cut_v, cut_gaps in first_block_shapes(m)
+        ]
+        dstar = lcm(den_src[m], *(d for _, _, d in terms))
+        terms = [(cut_v, cut_gaps, sign * (dstar // d)) for cut_v, cut_gaps, d in terms]
+        lead = dstar // den_src[m]
+        res = {}
+        for key in layer:
+            acc = src[key] * lead
+            for cut_v, cut_gaps, mult in terms:
+                k = kappa[cut_v(key)]
+                if k:
+                    term = mult * k
+                    for cut in cut_gaps:
+                        term *= phi[cut(key)]
+                    acc += term
+            res[key] = Fraction(acc, dstar)
+        den_dst[m] = _scale_into(dst, res)
+        out[m] = res
     return out

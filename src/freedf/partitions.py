@@ -57,15 +57,15 @@ class Partition(tuple):
         return "Partition(%s)" % (str(self) or "empty")
 
 
+def relabel(labels):
+    """Labels renumbered 0, 1, ... by first occurrence, as a plain tuple."""
+    seen = {}
+    return tuple([seen.setdefault(lab, len(seen)) for lab in labels])
+
+
 def canonicalize(labels):
     """Relabel an arbitrary label sequence by first occurrence."""
-    seen = {}
-    out = []
-    for lab in labels:
-        if lab not in seen:
-            seen[lab] = len(seen)
-        out.append(seen[lab])
-    return Partition(out)
+    return Partition(relabel(labels))
 
 
 def parse_partition(text):

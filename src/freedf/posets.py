@@ -3,8 +3,7 @@
 The generic recursion mu(s,s) = 1, mu(s,p) = -sum_{s<=t<p} mu(s,t) works
 on any finite poset and is the normative oracle. Two accelerated paths
 exist: the closed form on the full partition lattice P(m), and a cached
-column mu(., 1_m) on the non-crossing lattice NC(m), which is the weight
-vector of the cumulant-moment transform.
+column mu(., 1_m) on the non-crossing lattice NC(m).
 """
 
 from math import factorial

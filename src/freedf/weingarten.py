@@ -21,7 +21,7 @@ import tempfile
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .errors import NotInPoset, SingularGram, SizeMismatch
+from .errors import FreedfError, NotInPoset, SingularGram, SizeMismatch
 from .categories import c_leq, enumerate_category
 from .partitions import Partition, join_num_blocks, parse_partition
 from .rationals import format_rational, parse_rational
@@ -282,34 +282,48 @@ def _cache_path(cat, m, n):
 
 
 def _load_cached(cat, m, n):
+    """The cached W(cat, m, n), or None when the entry is absent or invalid.
+
+    An entry is used only when its header matches the request, its basis
+    is C(m) in basis order and Gram * W = I holds exactly; otherwise it
+    is recomputed and overwritten.
+    """
     path = _cache_path(cat, m, n)
     if not path or not os.path.exists(path):
         return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        basis = [parse_partition(s) if s else Partition() for s in doc["basis"]]
+        if (doc["category"], doc["m"], doc["n"]) != (cat.value, m, n):
+            return None
+        basis = tuple(parse_partition(s) if s else Partition() for s in doc["basis"])
         entries = [[parse_rational(v) for v in row] for row in doc["entries"]]
-    except Exception:
+    except (OSError, ValueError, KeyError, TypeError, FreedfError):
         return None  # unreadable cache entries are rebuilt
+    if basis != tuple(enumerate_category(cat, m)) or not _is_inverse(gram(cat, m, n).entries, entries):
+        return None
     return WeingartenTable(cat, m, n, basis, entries)
 
 
 def _store_cached(wg):
+    """Write wg to the disk cache; a directory that cannot take it is skipped."""
     path = _cache_path(wg.cat, wg.m, wg.n)
     if not path:
         return
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    folder = os.path.dirname(path) or "."
     doc = matrix_json(wg)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(folder, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError:
+        pass  # the result is already computed; only the cache write is lost
 
 
 def matrix_json(table):
@@ -354,8 +368,15 @@ def verify_inverse(cat, m, n):
     the Gram rows grouped by exponent (see _times_is_scalar).
     """
     wg = weingarten(cat, m, n)
-    if not wg.basis:
+    return _is_inverse(gram(cat, m, n).entries, wg.entries)
+
+
+def _is_inverse(A, W):
+    """Exact test of A * W == I for rational W of the same size as A."""
+    if len(W) != len(A) or any(len(row) != len(A) for row in W):
+        return False
+    if not W:
         return True
-    den = lcm(*(v.denominator for row in wg.entries for v in row))
-    num = [[v.numerator * (den // v.denominator) for v in row] for row in wg.entries]
-    return _times_is_scalar(gram(cat, m, n).entries, num, den)
+    den = lcm(*(v.denominator for row in W for v in row))
+    num = [[v.numerator * (den // v.denominator) for v in row] for row in W]
+    return _times_is_scalar(A, num, den)

@@ -97,6 +97,24 @@ def test_check_float_tolerance(tmp_path):
     assert strict.exit_code == 1
 
 
+def test_check_float_tests_every_residual(tmp_path):
+    # 200 tolerable residuals come first and fill the witness cap; the
+    # one intolerable residual after them must still fail the check
+    sc = semicircular_model(3, 5).to_dense()
+    layer = sc.values[5]
+    keys = sorted(layer)
+    for i in keys[:200]:
+        layer[i] += Fraction(1, 10 ** 12)
+    layer[keys[-1]] += 1000
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(sc.to_json()))
+    result = run(["check", "--category", "o+", "--input", str(bad), "--mode", "float"])
+    assert result.exit_code == 1
+    doc = json.loads(result.output)
+    assert doc["verdict"] == "FAIL"
+    assert [w["tuple"] for w in doc["witnesses"]] == ["3,3,3,3,3"]
+
+
 def test_check_rational_rejects_tolerance(tmp_path):
     model = tmp_path / "m.json"
     run_checked(["semicircular", "--n", "4", "--max-order", "2", "--output", str(model)])
@@ -269,3 +287,45 @@ def test_outputs_are_deterministic(tmp_path):
     ]
     for args in cases:
         assert run_checked(args) == run_checked(args), args
+
+
+def _fresh_process_cache():
+    from freedf.weingarten import _WG_CACHE
+
+    _WG_CACHE.clear()
+
+
+def test_disk_cache_entries_are_validated(tmp_path, monkeypatch):
+    monkeypatch.setenv("FREEDF_CACHE_DIR", str(tmp_path))
+    haar = ["haar", "--category", "o+", "--n", "5", "--i", "1,1,1,1", "--j", "1,1,1,1"]
+    _fresh_process_cache()
+    assert json.loads(run_checked(haar))["value"] == "1/15"
+    path = tmp_path / "o+_4_5.json"
+    good = json.loads(path.read_text())
+    for bad in (
+        dict(good, entries=[["1/2", "-1/120"], ["-1/120", "1/24"]]),
+        dict(good, basis=["0,1,1,0", "0,0,1,1"]),
+        dict(good, n=6),
+        dict(good, category="h+"),
+        dict(good, entries=[["1/24", "-1/120"]]),
+        dict(good, entries="1/24"),
+    ):
+        path.write_text(json.dumps(bad))
+        _fresh_process_cache()
+        assert json.loads(run_checked(haar))["value"] == "1/15", bad
+        assert json.loads(path.read_text()) == good
+    _fresh_process_cache()
+
+
+def test_unusable_cache_dir_is_not_fatal(tmp_path, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = ["weingarten", "--category", "o+", "--m", "4", "--n", "5"]
+    _fresh_process_cache()
+    want = run_checked(args)
+    monkeypatch.setenv("FREEDF_CACHE_DIR", str(blocker / "cache"))
+    _fresh_process_cache()
+    result = run(args)
+    assert result.exit_code == 0, result.output
+    assert result.output == want
+    _fresh_process_cache()
