@@ -4,12 +4,15 @@ Four categories are implemented, identified by their quantum-group
 labels: o+ (non-crossing pairings), s+ (all non-crossing partitions),
 h+ (non-crossing, every block of even size), b+ (non-crossing, every
 block of size at most 2). C(m) denotes the order-m part of a category.
+
+Every sigma <= tau sum between C(m) and the kernel classes reads one
+incidence index per (cat, m, n); leq scans are its oracle in the tests.
 """
 
 import enum
 
 from .errors import OrderTooLarge, UnknownCategory
-from .partitions import Partition, enumerate_partitions, is_noncrossing, kernel, leq
+from .partitions import Partition, canonicalize, enumerate_partitions, is_noncrossing, kernel, leq, num_blocks
 
 
 class CategoryId(enum.Enum):
@@ -115,14 +118,31 @@ def _nc_pairings(m):
         labels = [0] * m
         for a, b in pairs:
             labels[a] = labels[b] = a
-        seen = {}
-        canon = []
-        for lab in labels:
-            if lab not in seen:
-                seen[lab] = len(seen)
-            canon.append(seen[lab])
-        result.append(Partition(canon))
+        result.append(canonicalize(labels))
     return result
+
+
+_INCIDENCE = {}
+
+
+def incidence(cat, m, n):
+    """{tau: [a, ...]} with C(m)[a] <= tau, over the classes with #tau <= n.
+
+    Each RGS rho of sigma's blocks with at most n blocks gives the already
+    canonical tau = (rho[l] for l in sigma); tau without sigma is absent.
+    """
+    got = _INCIDENCE.get((cat, m, n))
+    if got is None:
+        got = {}
+        rhos = {}
+        for a, sigma in enumerate(enumerate_category(cat, m)):
+            k = num_blocks(sigma)
+            if k not in rhos:
+                rhos[k] = [rho for rho in enumerate_partitions(k) if num_blocks(rho) <= n]
+            for rho in rhos[k]:
+                got.setdefault(tuple(map(rho.__getitem__, sigma)), []).append(a)
+        _INCIDENCE[(cat, m, n)] = got
+    return got
 
 
 def c_leq(cat, i):

@@ -66,13 +66,13 @@ def tuple_kernels(m, n):
     """{i: ker(i)} over every tuple of [n]^m, built once per (m, n).
 
     Keys come in itertools.product order and the values are the
-    kernel_classes(m, n) objects, so dense tables look a tuple's class
-    up instead of canonicalizing the tuple on every pass.
+    kernel_classes(m, n) objects, found by the plain relabelled tuple,
+    so no Partition is built here and none on later passes.
     """
     got = _TUPLE_KERNELS.get((m, n))
     if got is None:
         classes = {t: t for t in kernel_classes(m, n)}
-        got = {i: classes[kernel(i)] for i in itertools.product(range(1, n + 1), repeat=m)}
+        got = {i: classes[relabel(i)] for i in itertools.product(range(1, n + 1), repeat=m)}
         _TUPLE_KERNELS[(m, n)] = got
     return got
 

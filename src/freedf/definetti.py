@@ -6,7 +6,10 @@ phi~(tau) decompose as sum_{sigma in C(m), sigma <= tau} c_sigma. The
 checker recovers candidate coefficients by Weingarten averaging (they
 equal phi applied to the averaged words b_pi) and then verifies the
 decomposition residually, so PASS certifies invariance and FAIL carries
-explicit witnesses.
+explicit witnesses. Every sigma <= tau sum reads categories.incidence;
+for m <= n the solve is unitriangular forward substitution on it, finest
+partitions first (the generic Moebius recursion of FinitePoset is the
+oracle in the tests).
 
 Coefficient families come in two flavors: c_pi (moment-side) and C_pi
 (cumulant-side), related like moments and cumulants; both conversions
@@ -18,8 +21,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .categories import O_PLUS, S_PLUS, category_contains, enumerate_category
+from .categories import O_PLUS, S_PLUS, category_contains, enumerate_category, incidence
 from .cumulants import (
+    DENSE_GUARD,
     KERNEL,
     CumulantTable,
     MomentTable,
@@ -37,14 +41,15 @@ from .errors import (
     NotInvariant,
     NotKernelRepresentable,
     OrderExceedsN,
+    TableTooLarge,
 )
-from .partitions import Partition, kernel, leq, num_blocks, relabel, render_index_tuple
-from .posets import category_poset
+from .partitions import Partition, num_blocks, relabel, render_index_tuple
 from .rationals import format_rational
 from .weingarten import weingarten
 
 MAX_WITNESSES = 100
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _falling(n, k):
@@ -125,9 +130,11 @@ def averaged_coefficients(mt, cat, m):
         for i, v in mt.values[m].items():
             groups.setdefault(kern[i], []).append(v)
         class_sums = {tau: _exact_sum(vs) for tau, vs in groups.items()}
-    S = []
-    for p in basis:
-        S.append(sum((v for tau, v in class_sums.items() if leq(p, tau)), Fraction(0)))
+    below = incidence(cat, m, n)
+    S = [_ZERO] * len(basis)
+    for tau, v in class_sums.items():
+        for a in below.get(tau, ()):
+            S[a] += v
     wg = weingarten(cat, m, n)
     out = {}
     for a, sigma in enumerate(basis):
@@ -151,9 +158,7 @@ def check_invariance(mt, cat, up_to=None, tolerance=None):
     for m in range(1, M + 1):
         cavg = averaged_coefficients(mt, cat, m)
         coefficients[m] = cavg
-        predicted = {}
-        for tau in kernel_classes(m, mt.n):
-            predicted[tau] = sum((v for sigma, v in cavg.items() if leq(sigma, tau)), Fraction(0))
+        predicted = _incident_sums(list(cavg.values()), cat, m, mt.n)
         layer = mt.values[m]
         layer_resid = {}
         if mt.repr == KERNEL:
@@ -194,35 +199,56 @@ def _solve_slice(view, cat, m, n, fallback):
             )
         return CoefficientSlice(cat, m, {}, True)
     if m <= n:
-        poset = category_poset(cat, m)
-        values = {}
-        for p in basis:
-            values[p] = sum(
-                (view[s] * poset.mobius(s, p) for s in basis if leq(s, p)), Fraction(0)
-            )
+        values = _forward_substitute(view, basis, incidence(cat, m, n), range(len(basis)))
         unique = True
     else:
         if not fallback:
             raise OrderExceedsN("order m=%d exceeds n=%d and fallback is disabled" % (m, n))
-        values, unique = _zeta_solve(view, basis, classes)
+        values, unique = _zeta_solve(view, cat, m, n)
+    total = _incident_sums(values, cat, m, n)
     for tau in classes:
-        total = sum((values[s] for s in basis if leq(s, tau)), Fraction(0))
-        if total != view[tau]:
+        if total[tau] != view[tau]:
             raise NotInvariant(
                 "no coefficient family reproduces the table at order %d, kernel %s" % (m, tau)
             )
-    return CoefficientSlice(cat, m, values, unique)
+    return CoefficientSlice(cat, m, dict(zip(basis, values)), unique)
 
 
-def _zeta_solve(view, basis, classes):
+def _incident_sums(values, cat, m, n):
+    """{tau: sum of values[a] over C(m)[a] <= tau} over the kernel classes."""
+    below = incidence(cat, m, n)
+    return {tau: sum((values[a] for a in below.get(tau, ())), _ZERO) for tau in kernel_classes(m, n)}
+
+
+def _forward_substitute(view, basis, below, positions):
+    """c_p = phi~(p) - sum_{s < p} c_s on down-closed positions, finest first.
+
+    This is Moebius inversion on C(m) without computing mu.
+    """
+    c = [None] * len(basis)
+    for a in sorted(positions, key=lambda a: -num_blocks(basis[a])):
+        c[a] = view[basis[a]] - sum((c[b] for b in below[basis[a]] if b != a), _ZERO)
+    return c
+
+
+def _zeta_solve(view, cat, m, n):
     """Exact elimination of phi~(tau) = sum_{sigma<=tau} c_sigma.
 
     Used beyond the m <= n regime where the triangular route is not
     available. Free variables are pinned to 0 and uniqueness reported.
+    Above DENSE_GUARD matrix entries it raises before building anything.
     """
+    basis = enumerate_category(cat, m)
+    classes = kernel_classes(m, n)
+    if len(classes) * len(basis) > DENSE_GUARD:
+        raise TableTooLarge("the m > n solve needs a %d x %d matrix" % (len(classes), len(basis)))
+    below = incidence(cat, m, n)
     rows = []
     for tau in classes:
-        rows.append([Fraction(1) if leq(s, tau) else Fraction(0) for s in basis] + [view[tau]])
+        row = [_ZERO] * len(basis) + [view[tau]]
+        for a in below.get(tau, ()):
+            row[a] = _ONE
+        rows.append(row)
     ncols = len(basis)
     pivots = []
     r = 0
@@ -244,14 +270,14 @@ def _zeta_solve(view, basis, classes):
     for k in range(r, len(rows)):
         if rows[k][ncols] != 0:
             raise NotInvariant("the kernel-class system is inconsistent")
-    values = {s: Fraction(0) for s in basis}
+    values = [_ZERO] * ncols
     for row, col in zip(rows, pivots):
-        values[basis[col]] = row[ncols]
+        values[col] = row[ncols]
     return values, len(pivots) == ncols
 
 
 def solve_moment_coefficients(mt, cat, m, fallback=True):
-    """The c_pi family at order m, by Moebius inversion on C(m)."""
+    """The c_pi family at order m, by triangular (Moebius) inversion on C(m)."""
     return _solve_slice(_kernel_view_or_fail(mt, m), cat, m, mt.n, fallback)
 
 
@@ -333,13 +359,7 @@ def generate_invariant_model(cat, n, M, seed):
     if n < floor:
         raise ValueError("invariance machinery for %s needs n >= %d, got n=%d" % (cat, floor, n))
     C = seed_coefficients(cat, n, M, seed)
-    layers = {}
-    for m in range(1, M + 1):
-        basis = C[m]
-        layer = {}
-        for tau in kernel_classes(m, n):
-            layer[tau] = sum((v for p, v in basis.items() if leq(p, tau)), Fraction(0))
-        layers[m] = layer
+    layers = {m: _incident_sums(list(C[m].values()), cat, m, n) for m in range(1, M + 1)}
     ct = CumulantTable(n, M, layers, repr=KERNEL)
     return moments_from_cumulants(ct)
 
@@ -348,11 +368,8 @@ def semicircular_model(n, M):
     """phi~(tau) = number of non-crossing pairings below tau."""
     layers = {}
     for m in range(1, M + 1):
-        pairings = enumerate_category(O_PLUS, m)
-        layer = {}
-        for tau in kernel_classes(m, n):
-            layer[tau] = Fraction(sum(1 for p in pairings if leq(p, tau)))
-        layers[m] = layer
+        below = incidence(O_PLUS, m, n)
+        layers[m] = {tau: Fraction(len(below.get(tau, ()))) for tau in kernel_classes(m, n)}
     return MomentTable(n, M, layers, repr=KERNEL)
 
 
@@ -364,10 +381,9 @@ def normalized_block_sum(mt, p):
     k = p.size // 2
     n = mt.n
     view = mt.kernel_view(p.size)
-    total = sum(
-        (_falling(n, num_blocks(tau)) * v for tau, v in view.items() if leq(p, tau)),
-        Fraction(0),
-    )
+    a = enumerate_category(O_PLUS, p.size).index(p)
+    above = (tau for tau, below in incidence(O_PLUS, p.size, n).items() if a in below)
+    total = sum((_falling(n, num_blocks(tau)) * view[tau] for tau in above), Fraction(0))
     return total / Fraction(n) ** k
 
 
@@ -391,17 +407,10 @@ def reconstruct_infinite(phi_tilde, cat, i):
             "phi~ at order %d is missing %d values, e.g. %s" % (m, len(missing), missing[0]),
             missing=missing,
         )
-    tau = kernel(i)
-    below = [p for p in basis if leq(p, tau)]
-    if not below:
-        return Fraction(0)
-    poset = category_poset(cat, m)
-    total = Fraction(0)
-    for p in below:
-        for s in basis:
-            if leq(s, p):
-                total += view[s] * poset.mobius(s, p)
-    return total
+    below = incidence(cat, m, m)
+    down = below.get(relabel(i), ())
+    c = _forward_substitute(view, basis, below, down)
+    return sum((c[a] for a in down), Fraction(0))
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """Moebius functions on finite posets of partitions.
 
 The generic recursion mu(s,s) = 1, mu(s,p) = -sum_{s<=t<p} mu(s,t) works
-on any finite poset and is the normative oracle. Two accelerated paths
-exist: the closed form on the full partition lattice P(m), and a cached
-column mu(., 1_m) on the non-crossing lattice NC(m).
+on any finite poset; the tests hold definetti's triangular solves to it.
+Two accelerated paths exist: the closed form on the full partition
+lattice P(m), and a cached column mu(., 1_m) on the non-crossing NC(m).
 """
 
 from math import factorial

@@ -102,3 +102,42 @@ def test_mobius_values_are_integers():
 
 def test_category_poset_is_cached():
     assert category_poset(S_PLUS, 4) is category_poset(S_PLUS, 4)
+
+
+def kreweras_block_sizes(p):
+    """Cycle lengths of K(p) = P^-1 gamma, P the blocks of p as increasing cycles."""
+    m = len(p)
+    nxt = {}
+    for block in p.blocks():
+        for a, b in zip(block, block[1:] + block[:1]):
+            nxt[b] = a
+    k = [nxt[(a + 1) % m] for a in range(m)]
+    sizes, seen = [], set()
+    for start in range(m):
+        size = 0
+        while start not in seen:
+            seen.add(start)
+            start = k[start]
+            size += 1
+        if size:
+            sizes.append(size)
+    return sizes
+
+
+def test_kreweras_closed_form_for_mu_to_top():
+    # mu_NC(p, 1_m) = prod over V in K(p) of (-1)^(|V|-1) Cat_(|V|-1)
+    from freedf.categories import enumerate_category
+
+    def cat(k):
+        return math.comb(2 * k, k) // (k + 1)
+
+    for m in range(1, 9):
+        col = mobius_to_top_nc(m)
+        poset = FinitePoset(enumerate_category(S_PLUS, m))
+        top = one_block(m)
+        for p in poset.elements:
+            sizes = kreweras_block_sizes(p)
+            assert len(sizes) == m + 1 - num_blocks(p)
+            want = math.prod((-1) ** (s - 1) * cat(s - 1) for s in sizes)
+            assert col[p] == want, (m, p)
+            assert poset.mobius(p, top) == want, (m, p)
