@@ -1,20 +1,14 @@
 """Integer backend detection.
 
-BACKEND names the big-integer type available to this interpreter:
-"gmpy2" when gmpy2 is importable, "python" otherwise, or when
-FREEDF_PURE_PYTHON=1 forces the stdlib. Benchmarks record it with their
-results. The exact Weingarten inverse runs on word-size modular
-arithmetic and plain Python ints, so no kernel depends on it today.
+BACKEND is "gmpy2" when gmpy2 is importable and "python" otherwise.
+Benchmarks record it with their results. The exact Weingarten inverse
+runs on word-size modular arithmetic and plain Python ints, so no kernel
+depends on it.
 """
 
-import os
+try:
+    import gmpy2  # noqa: F401
 
-BACKEND = "python"
-
-if not os.environ.get("FREEDF_PURE_PYTHON"):
-    try:
-        import gmpy2  # noqa: F401
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        pass
+    BACKEND = "gmpy2"
+except ImportError:
+    BACKEND = "python"

@@ -20,9 +20,12 @@ from .categories import enumerate_category, parse_category
 from .cumulants import (
     cumulants_from_moments,
     moments_from_cumulants,
+    parse_count,
+    parse_layers,
+    parse_rgs_key,
     table_from_json,
 )
-from .errors import FreedfError, IncompleteTable, SchemaError
+from .errors import FreedfError, SchemaError
 from .partitions import (
     enumerate_partitions,
     format_blocks,
@@ -86,29 +89,8 @@ def parse_family(doc, kinds):
     if doc["kind"] not in kinds:
         raise SchemaError("field 'kind' must be one of %s, got %r" % (sorted(kinds), doc["kind"]))
     cat = parse_category(doc["category"])
-    M = doc["max_order"]
-    if not isinstance(M, int) or M < 1:
-        raise SchemaError("field 'max_order' must be a positive integer")
-    out = {}
-    for m in range(1, M + 1):
-        layer_doc = doc["values"].get(str(m))
-        if layer_doc is None:
-            raise IncompleteTable("family lacks order %d" % m, missing=[str(m)])
-        layer = {}
-        for text, val in layer_doc.items():
-            p = parse_partition(text)
-            layer[p] = parse_rational(val)
-        want = enumerate_category(cat, m)
-        missing = [str(p) for p in want if p not in layer]
-        if missing:
-            raise IncompleteTable(
-                "family at order %d is missing %s" % (m, ", ".join(missing[:8])), missing=missing
-            )
-        if len(layer) != len(want):
-            unexpected = sorted(set(layer) - set(want))[0]
-            raise SchemaError("family at order %d has an unexpected key %r" % (m, str(unexpected)))
-        out[m] = layer
-    return cat, M, out
+    M = parse_count(doc, "max_order", 1)
+    return cat, M, parse_layers(doc["values"], M, parse_rgs_key, lambda m: enumerate_category(cat, m))
 
 
 def family_json(cat, kind, slices):
@@ -206,15 +188,11 @@ def haar_cmd(category_text, n, i_text, j_text, fmt, output):
 @_guarded
 def transform_cmd(target, input_path, output):
     """Free moment-cumulant transform, either direction."""
+    want = "cumulants" if target == "moments" else "moments"
     table = _load_table(input_path)
-    if target == "moments":
-        if table.kind != "cumulants":
-            raise SchemaError("transform --to moments expects a cumulants table")
-        result = moments_from_cumulants(table)
-    else:
-        if table.kind != "moments":
-            raise SchemaError("transform --to cumulants expects a moments table")
-        result = cumulants_from_moments(table)
+    if table.kind != want:
+        raise SchemaError("transform --to %s expects a %s table" % (target, want))
+    result = (moments_from_cumulants if target == "moments" else cumulants_from_moments)(table)
     _output(json.dumps(result.to_json(), indent=2) + "\n", output)
 
 
@@ -262,15 +240,11 @@ def check_cmd(category_text, input_path, mode, tolerance, fmt, output):
 def solve_cmd(category_text, which, m, input_path, no_fallback, output):
     """Extract c_pi (from moments) or C_pi (from cumulants) at order m."""
     cat = parse_category(category_text)
+    want = "moments" if which == "c" else "cumulants"
     table = _load_table(input_path)
-    if which == "c":
-        if table.kind != "moments":
-            raise SchemaError("solve --which c expects a moments table")
-        sl = definetti.solve_moment_coefficients(table, cat, m, fallback=not no_fallback)
-    else:
-        if table.kind != "cumulants":
-            raise SchemaError("solve --which C expects a cumulants table")
-        sl = definetti.solve_cumulant_coefficients(table, cat, m, fallback=not no_fallback)
+    if table.kind != want:
+        raise SchemaError("solve --which %s expects a %s table" % (which, want))
+    sl = definetti.solve_moment_coefficients(table, cat, m, fallback=not no_fallback)
     doc = {
         "category": cat.value,
         "m": m,
@@ -288,15 +262,11 @@ def solve_cmd(category_text, which, m, input_path, no_fallback, output):
 @_guarded
 def convert_cmd(direction, input_path, output):
     """Convert between the c_pi and C_pi coefficient families."""
-    want = "c" if direction == "c-to-C" else "C"
-    cat, M, family = parse_family(_load_json(input_path), kinds=(want,))
-    out = {}
-    for m in range(1, M + 1):
-        if direction == "c-to-C":
-            out[m] = definetti.C_from_c(family, cat, m)
-        else:
-            out[m] = definetti.c_from_C(family, cat, m)
-    _output(json.dumps(family_json(cat, "C" if want == "c" else "c", out), indent=2) + "\n", output)
+    source, target = direction.split("-to-")
+    cat, M, family = parse_family(_load_json(input_path), kinds=(source,))
+    convert = definetti.C_from_c if source == "c" else definetti.c_from_C
+    out = {m: convert(family, cat, m) for m in range(1, M + 1)}
+    _output(json.dumps(family_json(cat, target, out), indent=2) + "\n", output)
 
 
 @main.command("generate")

@@ -109,12 +109,8 @@ class Table:
         return self.values[m][kernel(i)]
 
     def kernel_value(self, m, tau):
-        if m > self.max_order:
-            raise OrderExceeded("order %d beyond table max_order %d" % (m, self.max_order))
-        if self.repr == KERNEL:
-            return self.values[m][tau]
-        rep = representative_tuple(tau)
-        return self.values[m][rep]
+        """The value on the kernel class tau of order m."""
+        return self.value(representative_tuple(tau))
 
     def kernel_view(self, m):
         """Kernel-class view {tau: value} of order m.
@@ -161,8 +157,7 @@ class Table:
         for m in range(1, self.max_order + 1):
             layer = {}
             for key in sorted(self.values[m]):
-                text = render_index_tuple(key) if self.repr == DENSE else str(key)
-                layer[text] = format_rational(self.values[m][key])
+                layer[render_index_tuple(key)] = format_rational(self.values[m][key])
             vals[str(m)] = layer
         return {
             "n": self.n,
@@ -186,6 +181,60 @@ def representative_tuple(tau):
     return tuple(lab + 1 for lab in tau)
 
 
+def parse_count(doc, field, least):
+    """doc[field] as an integer >= least (0 or 1); booleans are refused."""
+    v = doc[field]
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+        kind = "positive" if least else "non-negative"
+        raise SchemaError("field %r must be a %s integer, got %r" % (field, kind, v))
+    return v
+
+
+def parse_rgs_key(text, m):
+    """A partition key of order m, written as its canonical RGS."""
+    key = parse_partition(text)
+    if key.size != m:
+        raise SchemaError("partition %r under order %d has size %d" % (text, m, key.size))
+    if str(key) != text.replace(" ", ""):
+        raise SchemaError("partition key %r is not canonical" % text)
+    return key
+
+
+def parse_layers(raw, max_order, parse_key, expected):
+    """{m: {key: Fraction}} for m = 1..max_order from {"m": {text: value}}.
+
+    parse_key(text, m) reads one key; order m must then carry exactly the
+    keys of expected(m), each given once.
+    """
+    if not isinstance(raw, dict):
+        raise SchemaError("field 'values' must be an object keyed by order")
+    out = {}
+    for m in range(1, max_order + 1):
+        layer_doc = raw.get(str(m))
+        if layer_doc is None:
+            raise IncompleteTable("values for order %d are missing" % m, missing=[str(m)])
+        if not isinstance(layer_doc, dict):
+            raise SchemaError("values for order %d must be an object keyed by entry" % m)
+        layer = {}
+        for text, val in layer_doc.items():
+            key = parse_key(text, m)
+            if key in layer:
+                raise SchemaError("order %d repeats the key %s as %r" % (m, render_index_tuple(key), text))
+            layer[key] = parse_rational(val)
+        want = expected(m)
+        missing = [k for k in want if k not in layer]
+        if missing:
+            shown = [render_index_tuple(k) for k in missing[:8]]
+            raise IncompleteTable(
+                "order %d is missing %d entries, e.g. %s" % (m, len(missing), ", ".join(shown)), missing=shown
+            )
+        if len(layer) != len(want):
+            unexpected = sorted(set(layer) - set(want))[0]
+            raise SchemaError("order %d carries an unexpected key %r" % (m, render_index_tuple(unexpected)))
+        out[m] = layer
+    return out
+
+
 def table_from_json(doc):
     """Parse and fully validate the table JSON interchange form."""
     if not isinstance(doc, dict):
@@ -193,70 +242,38 @@ def table_from_json(doc):
     for field in ("n", "max_order", "kind", "repr", "values"):
         if field not in doc:
             raise SchemaError("missing field %r" % field)
-    n, max_order = doc["n"], doc["max_order"]
-    if not isinstance(n, int) or n < 1:
-        raise SchemaError("field 'n' must be a positive integer, got %r" % (n,))
-    if not isinstance(max_order, int) or max_order < 0:
-        raise SchemaError("field 'max_order' must be a non-negative integer, got %r" % (max_order,))
+    n, max_order = parse_count(doc, "n", 1), parse_count(doc, "max_order", 0)
     kind = doc["kind"]
     if kind not in ("moments", "cumulants"):
         raise SchemaError("field 'kind' must be 'moments' or 'cumulants', got %r" % (kind,))
     rep = doc["repr"]
     if rep not in (DENSE, KERNEL):
         raise SchemaError("field 'repr' must be 'dense' or 'kernel', got %r" % (rep,))
-    raw = doc["values"]
-    if not isinstance(raw, dict):
-        raise SchemaError("field 'values' must be an object keyed by order")
-    if rep == DENSE:
+    if rep == KERNEL:
+        values = parse_layers(doc["values"], max_order, parse_rgs_key, lambda m: kernel_classes(m, n))
+    else:
         _check_dense_size(n, max_order)
-    values = {}
-    for m in range(1, max_order + 1):
-        layer_doc = raw.get(str(m))
-        if layer_doc is None:
-            raise IncompleteTable("values for order %d are missing" % m, missing=[str(m)])
-        layer = {}
-        for text, val in layer_doc.items():
-            if rep == DENSE:
-                key = parse_index_tuple(text, n)
-                if len(key) != m:
-                    raise SchemaError("tuple %r under order %d has length %d" % (text, m, len(key)))
-            else:
-                key = parse_partition(text)
-                if key.size != m:
-                    raise SchemaError("partition %r under order %d has size %d" % (text, m, key.size))
-                if str(key) != text.replace(" ", ""):
-                    raise SchemaError("partition key %r is not canonical" % text)
-            layer[key] = parse_rational(val)
-        if rep == DENSE:
-            expected = list(itertools.product(range(1, n + 1), repeat=m))
-        else:
-            expected = kernel_classes(m, n)
-        missing = [k for k in expected if k not in layer]
-        if missing:
-            shown = [render_index_tuple(k) if rep == DENSE else str(k) for k in missing[:8]]
-            raise IncompleteTable(
-                "order %d is missing %d entries, e.g. %s" % (m, len(missing), ", ".join(shown)),
-                missing=shown,
-            )
-        if len(layer) != len(expected):
-            unexpected = sorted(set(layer) - set(expected))[0]
-            raise SchemaError("order %d carries an unexpected key %r" % (m, str(unexpected)))
-        values[m] = layer
+
+        def tuple_key(text, m):
+            key = parse_index_tuple(text, n)
+            if len(key) != m:
+                raise SchemaError("tuple %r under order %d has length %d" % (text, m, len(key)))
+            return key
+
+        def tuples(m):
+            return list(itertools.product(range(1, n + 1), repeat=m))
+
+        values = parse_layers(doc["values"], max_order, tuple_key, tuples)
     cls = MomentTable if kind == "moments" else CumulantTable
     return cls(n, max_order, values, repr=rep)
 
 
-def kappa_pi(cumulants, p, i):
-    """kappa_p(i) = product over blocks V of kappa_{|V|}(i restricted to V)."""
-    return _blockwise(cumulants, p, i)
+def kappa_pi(table, p, i):
+    """Product over the blocks V of p of the table's value on i restricted to V.
 
-
-def phi_pi(moments, p, i):
-    """phi_p(i) = product over blocks V of phi(word on V)."""
-    return _blockwise(moments, p, i)
-
-
-def _blockwise(table, p, i):
+    On cumulants this is kappa_p(i); on moments it is phi_p(i), so
+    phi_pi is the same function.
+    """
     p = Partition(p)
     i = tuple(i)
     if p.size != len(i):
@@ -267,6 +284,9 @@ def _blockwise(table, p, i):
     for block in p.blocks():
         out *= table.value(tuple(i[pos] for pos in block))
     return out
+
+
+phi_pi = kappa_pi
 
 
 _SHAPES = {}

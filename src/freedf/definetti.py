@@ -19,7 +19,7 @@ run the first-block recursion of the transforms in cumulants.py.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, perm
 
 from .categories import O_PLUS, S_PLUS, category_contains, enumerate_category, incidence
 from .cumulants import (
@@ -50,13 +50,6 @@ from .weingarten import weingarten
 MAX_WITNESSES = 100
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _falling(n, k):
-    out = 1
-    for t in range(k):
-        out *= n - t
-    return out
 
 
 @dataclass
@@ -116,14 +109,15 @@ def averaged_coefficients(mt, cat, m):
 
     S_pi sums phi over all tuples whose kernel refines above pi; for
     kernel tables that is sum over classes tau >= pi of (n)_{#tau}
-    phi~(tau), the falling factorial counting the tuples in the class.
+    phi~(tau), the falling factorial perm(n, #tau) counting the tuples in
+    the class.
     """
     basis = enumerate_category(cat, m)
     if not basis:
         return {}
     n = mt.n
     if mt.repr == KERNEL:
-        class_sums = {tau: _falling(n, num_blocks(tau)) * v for tau, v in mt.values[m].items()}
+        class_sums = {tau: perm(n, num_blocks(tau)) * v for tau, v in mt.values[m].items()}
     else:
         kern = tuple_kernels(m, n)
         groups = {}
@@ -180,15 +174,17 @@ def check_invariance(mt, cat, up_to=None, tolerance=None):
     )
 
 
-def _kernel_view_or_fail(table, m):
+def solve_moment_coefficients(table, cat, m, fallback=True):
+    """The c_pi family at order m, by triangular (Moebius) inversion on C(m).
+
+    Applied to a cumulant table the same route gives the C_pi family, so
+    solve_cumulant_coefficients is this function.
+    """
     try:
-        return table.kernel_view(m)
+        view = table.kernel_view(m)
     except NotKernelRepresentable as e:
         raise NotInvariant("table is not kernel-uniform at order %d: %s" % (m, e)) from None
-
-
-def _solve_slice(view, cat, m, n, fallback):
-    """Shared solver body for moment- and cumulant-side coefficients."""
+    n = table.n
     basis = enumerate_category(cat, m)
     classes = kernel_classes(m, n)
     if not basis:
@@ -212,6 +208,9 @@ def _solve_slice(view, cat, m, n, fallback):
                 "no coefficient family reproduces the table at order %d, kernel %s" % (m, tau)
             )
     return CoefficientSlice(cat, m, dict(zip(basis, values)), unique)
+
+
+solve_cumulant_coefficients = solve_moment_coefficients
 
 
 def _incident_sums(values, cat, m, n):
@@ -274,16 +273,6 @@ def _zeta_solve(view, cat, m, n):
     for row, col in zip(rows, pivots):
         values[col] = row[ncols]
     return values, len(pivots) == ncols
-
-
-def solve_moment_coefficients(mt, cat, m, fallback=True):
-    """The c_pi family at order m, by triangular (Moebius) inversion on C(m)."""
-    return _solve_slice(_kernel_view_or_fail(mt, m), cat, m, mt.n, fallback)
-
-
-def solve_cumulant_coefficients(ct, cat, m, fallback=True):
-    """The C_pi family at order m, same route applied to kappa~."""
-    return _solve_slice(_kernel_view_or_fail(ct, m), cat, m, ct.n, fallback)
 
 
 def _family_get(cf, order):
@@ -383,7 +372,7 @@ def normalized_block_sum(mt, p):
     view = mt.kernel_view(p.size)
     a = enumerate_category(O_PLUS, p.size).index(p)
     above = (tau for tau, below in incidence(O_PLUS, p.size, n).items() if a in below)
-    total = sum((_falling(n, num_blocks(tau)) * view[tau] for tau in above), Fraction(0))
+    total = sum((perm(n, num_blocks(tau)) * view[tau] for tau in above), Fraction(0))
     return total / Fraction(n) ** k
 
 

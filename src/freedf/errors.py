@@ -69,8 +69,8 @@ class OrderExceedsN(FreedfError):
     code = "order-exceeds-n"
 
 
-class IncompleteTable(FreedfError):
-    code = "incomplete-table"
+class _Incomplete(FreedfError):
+    """An input that lacks entries; payload() lists the missing keys."""
 
     def __init__(self, message, missing=()):
         self.missing = list(missing)
@@ -80,6 +80,10 @@ class IncompleteTable(FreedfError):
         d = super().payload()
         d["missing"] = self.missing
         return d
+
+
+class IncompleteTable(_Incomplete):
+    code = "incomplete-table"
 
 
 class SchemaError(FreedfError):
@@ -102,17 +106,8 @@ class NotKernelRepresentable(FreedfError):
     code = "not-kernel-representable"
 
 
-class IncompleteRestriction(FreedfError):
+class IncompleteRestriction(_Incomplete):
     code = "incomplete-restriction"
-
-    def __init__(self, message, missing=()):
-        self.missing = list(missing)
-        super().__init__(message)
-
-    def payload(self):
-        d = super().payload()
-        d["missing"] = self.missing
-        return d
 
 
 class TableTooLarge(FreedfError):

@@ -16,6 +16,18 @@ from .errors import BadSubset, EmptyInput, OrderTooLarge, SchemaError, SizeMisma
 DEFAULT_CAP = 10
 
 
+def render_index_tuple(i):
+    """Comma-separated labels or entries, e.g. "0,0,1" or "1,3,1,2"."""
+    return ",".join(str(v) for v in i)
+
+
+render_partition = render_index_tuple
+
+
+def num_blocks(p):
+    return max(p) + 1 if p else 0
+
+
 class Partition(tuple):
     """A canonical restricted-growth string over positions 0..m-1."""
 
@@ -33,9 +45,7 @@ class Partition(tuple):
     def size(self):
         return len(self)
 
-    @property
-    def num_blocks(self):
-        return max(self) + 1 if self else 0
+    num_blocks = property(num_blocks)
 
     def blocks(self):
         """Blocks as tuples of 0-based positions, ordered by block id."""
@@ -50,8 +60,7 @@ class Partition(tuple):
             sizes[lab] += 1
         return sizes
 
-    def __str__(self):
-        return ",".join(str(lab) for lab in self)
+    __str__ = render_index_tuple
 
     def __repr__(self):
         return "Partition(%s)" % (str(self) or "empty")
@@ -84,10 +93,6 @@ def parse_partition(text):
     return canonicalize(labels)
 
 
-def render_partition(p):
-    return ",".join(str(lab) for lab in p)
-
-
 def format_blocks(p):
     """Human notation with 1-based elements, e.g. {{1,2},{3}}."""
     if not p:
@@ -112,20 +117,12 @@ def parse_index_tuple(text, n=None):
     return tuple(entries)
 
 
-def render_index_tuple(i):
-    return ",".join(str(v) for v in i)
-
-
 def singletons(m):
     return Partition(range(m))
 
 
 def one_block(m):
     return Partition([0] * m)
-
-
-def num_blocks(p):
-    return max(p) + 1 if p else 0
 
 
 def is_noncrossing(p):
@@ -165,12 +162,12 @@ def leq(p, q):
     return True
 
 
-def join(p, q):
-    """Smallest common coarsening, by union-find over positions."""
-    m = len(p)
-    if m != len(q):
-        raise SizeMismatch("join on partitions of different sizes: %d vs %d" % (m, len(q)))
-    parent = list(range(m))
+def _merge(p, q):
+    """Union-find over positions, merging the blocks of p and of q.
+
+    Returns find and the number of blocks of the join.
+    """
+    parent = list(range(len(p)))
 
     def find(a):
         while parent[a] != a:
@@ -178,30 +175,7 @@ def join(p, q):
             a = parent[a]
         return a
 
-    for labels in (p, q):
-        first = {}
-        for pos, lab in enumerate(labels):
-            if lab in first:
-                ra, rb = find(first[lab]), find(pos)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                first[lab] = pos
-    return canonicalize(find(pos) for pos in range(m))
-
-
-def join_num_blocks(p, q):
-    """num_blocks(join(p, q)) without building the partition."""
-    m = len(p)
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    count = m
+    count = len(p)
     for labels in (p, q):
         first = {}
         for pos, lab in enumerate(labels):
@@ -212,12 +186,25 @@ def join_num_blocks(p, q):
                     count -= 1
             else:
                 first[lab] = pos
-    return count
+    return find, count
 
 
-def kernel(i):
-    """ker(i): positions grouped by equal entries of the tuple."""
-    return canonicalize(i)
+def join(p, q):
+    """Smallest common coarsening."""
+    m = len(p)
+    if m != len(q):
+        raise SizeMismatch("join on partitions of different sizes: %d vs %d" % (m, len(q)))
+    find = _merge(p, q)[0]
+    return canonicalize(find(pos) for pos in range(m))
+
+
+def join_num_blocks(p, q):
+    """num_blocks(join(p, q)) without building the partition."""
+    return _merge(p, q)[1]
+
+
+# ker(i): positions grouped by equal entries of the tuple
+kernel = canonicalize
 
 
 def restrict(p, positions):

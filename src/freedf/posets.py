@@ -66,8 +66,7 @@ class FinitePoset:
         return got
 
 
-def mobius(poset, s, p):
-    return poset.mobius(s, p)
+mobius = FinitePoset.mobius
 
 
 def mobius_to_top_full_lattice(p):

@@ -44,8 +44,7 @@ class GramTable:
             raise NotInPoset("partition %s is not in C(%d) for %s" % (p, self.m, self.cat)) from None
 
 
-class WeingartenTable(GramTable):
-    pass
+WeingartenTable = GramTable
 
 
 _EXP_CACHE = {}

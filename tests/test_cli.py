@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 from fractions import Fraction
 
@@ -329,3 +330,67 @@ def test_unusable_cache_dir_is_not_fatal(tmp_path, monkeypatch):
     assert result.exit_code == 0, result.output
     assert result.output == want
     _fresh_process_cache()
+
+
+# Malformed inputs that must be refused with a schema-error (exit 2): each
+# of these was once accepted with a silently wrong result, or crashed.
+_PHI = {
+    "category": "s+",
+    "kind": "phi",
+    "max_order": 2,
+    "values": {"1": {"0": "1/1"}, "2": {"0,0": "1/1", "0,1": "1/1"}},
+}
+_DENSE = {"n": 2, "max_order": 1, "kind": "moments", "repr": "dense", "values": {"1": {"1": "1/1", "2": "1/1"}}}
+_KERNEL = {"n": 2, "max_order": 1, "kind": "moments", "repr": "kernel", "values": {"1": {"0": "1/1"}}}
+_RECONSTRUCT = ["reconstruct", "--category", "s+", "--i", "1,2", "--input"]
+_CONVERT = ["convert", "--direction", "c-to-C", "--input"]
+_TRANSFORM = ["transform", "--to", "cumulants", "--input"]
+_CHECK = ["check", "--category", "s+", "--input"]
+
+
+def _edited(doc, order=None, **fields):
+    doc = json.loads(json.dumps(doc))
+    doc.update(fields)
+    if order is not None:
+        doc["values"][str(order[0])] = order[1]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "args,doc",
+    [
+        # "0,7" canonicalizes onto "0,1" and used to overwrite it (9/1 for 1/1)
+        (_RECONSTRUCT, _edited(_PHI, (2, {"0,0": "1/1", "0,1": "1/1", "0,7": "9/1"}))),
+        (_RECONSTRUCT, _edited(_PHI, (2, {"0,0": "1/1", "0,1": "1/1", "0, 1": "9/1"}))),
+        (_CONVERT, _edited(_PHI, (2, {"0,0": "1/1", "0,1": "1/1", "5,9": "8/1"}), kind="c")),
+        (_TRANSFORM, _edited(_DENSE, (1, {"1": "1/1", "2": "1/1", "02": "7/1"}))),
+        (_TRANSFORM, _edited(_DENSE, (1, {"1": "1/1", "2": "1/1", " 2": "7/1"}))),
+        (_TRANSFORM, _edited(_DENSE, (1, ["1/1", "1/1"]))),
+        (_TRANSFORM, _edited(_KERNEL, (1, ["1/1"]))),
+        (_RECONSTRUCT, _edited(_PHI, (2, ["1/1", "1/1", "1/1"]))),
+        (_RECONSTRUCT, _edited(_PHI, values=[{"0": "1/1"}])),
+        (_CHECK, _edited(_KERNEL, n=True)),
+        (_CHECK, _edited(_KERNEL, max_order=True)),
+        (_RECONSTRUCT[:4] + ["1", "--input"], _edited(_PHI, max_order=True)),
+    ],
+    ids=[
+        "family-noncanonical-key",
+        "family-duplicate-key",
+        "convert-noncanonical-key",
+        "dense-zero-padded-duplicate",
+        "dense-spaced-duplicate",
+        "dense-layer-list",
+        "kernel-layer-list",
+        "family-layer-list",
+        "family-values-list",
+        "table-bool-n",
+        "table-bool-max-order",
+        "family-bool-max-order",
+    ],
+)
+def test_malformed_layers_are_schema_errors(tmp_path, args, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    result = run(args + [str(path)])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr)["error"] == "schema-error"
