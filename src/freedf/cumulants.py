@@ -66,15 +66,38 @@ def tuple_kernels(m, n):
     """{i: ker(i)} over every tuple of [n]^m, built once per (m, n).
 
     Keys come in itertools.product order and the values are the
-    kernel_classes(m, n) objects, found by the plain relabelled tuple,
-    so no Partition is built here and none on later passes.
+    kernel_classes(m, n) objects. Each class tau fills its tuples by
+    picking the labels of tau out of the injective label tuples over
+    [n], so no tuple is relabelled and no Partition is built.
     """
     got = _TUPLE_KERNELS.get((m, n))
     if got is None:
-        classes = {t: t for t in kernel_classes(m, n)}
-        got = {i: classes[relabel(i)] for i in itertools.product(range(1, n + 1), repeat=m)}
+        got = dict.fromkeys(itertools.product(range(1, n + 1), repeat=m))
+        for tau in kernel_classes(m, n):
+            pick = itemgetter(*tau) if m > 1 else itemgetter(slice(0, 1))
+            for labels in itertools.permutations(range(1, n + 1), num_blocks(tau)):
+                got[pick(labels)] = tau
         _TUPLE_KERNELS[(m, n)] = got
     return got
+
+
+def _stray_key(layer, m, n, repr):
+    """A key of a full-size layer that is not an expected key, or None.
+
+    A dense layer of n^m distinct keys is exactly [n]^m when every key is
+    an m-tuple over [n]; that is tested by two set passes, without
+    building [n]^m next to the table.
+    """
+    if repr == KERNEL:
+        classes = set(kernel_classes(m, n))
+        return next((key for key in layer if key not in classes), None)
+    labels = set(range(1, n + 1))
+    try:
+        if set(map(len, layer)) == {m} and set(itertools.chain.from_iterable(layer)) <= labels:
+            return None
+    except TypeError:
+        pass  # a key without a length: found below
+    return next(key for key in layer if not (isinstance(key, tuple) and len(key) == m and set(key) <= labels))
 
 
 class Table:
@@ -90,11 +113,13 @@ class Table:
         self.repr = repr
         self.values = {m: dict(values.get(m, {})) for m in range(1, max_order + 1)}
         for m in range(1, max_order + 1):
+            layer = self.values[m]
             want = n ** m if repr == DENSE else len(kernel_classes(m, n))
-            if len(self.values[m]) != want:
-                raise IncompleteTable(
-                    "order %d has %d entries, expected %d" % (m, len(self.values[m]), want)
-                )
+            if len(layer) != want:
+                raise IncompleteTable("order %d has %d entries, expected %d" % (m, len(layer), want))
+            stray = _stray_key(layer, m, n, repr)
+            if stray is not None:
+                raise SchemaError("order %d carries an unexpected key %r" % (m, stray))
 
     def value(self, i):
         """The entry at an index tuple (1-based values in [n])."""
@@ -339,7 +364,7 @@ def cumulants_from_moments(mt):
     return CumulantTable(mt.n, mt.max_order, _transform(mt, to_moments=False), repr=mt.repr)
 
 
-def _scale_into(nums, layer):
+def scale_into(nums, layer):
     """Store a layer in nums as integers over its least common denominator."""
     D = lcm(*(v.denominator for v in layer.values()))
     for key, v in layer.items():
@@ -364,7 +389,7 @@ def _transform(table, to_moments):
     out = {}
     for m in range(1, table.max_order + 1):
         layer = table.values[m]
-        den_src[m] = _scale_into(src, layer)
+        den_src[m] = scale_into(src, layer)
         terms = [
             (cut_v, cut_gaps, den_kappa[len(V)] * prod(den_phi[len(g)] for g in gaps))
             for V, gaps, cut_v, cut_gaps in first_block_shapes(m)
@@ -383,6 +408,6 @@ def _transform(table, to_moments):
                         term *= phi[cut(key)]
                     acc += term
             res[key] = Fraction(acc, dstar)
-        den_dst[m] = _scale_into(dst, res)
+        den_dst[m] = scale_into(dst, res)
         out[m] = res
     return out

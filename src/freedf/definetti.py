@@ -3,13 +3,15 @@
 A joint distribution over n variables is G_n-invariant for one of the
 four categories exactly when, at every order m, its kernel-class moments
 phi~(tau) decompose as sum_{sigma in C(m), sigma <= tau} c_sigma. The
-checker recovers candidate coefficients by Weingarten averaging (they
-equal phi applied to the averaged words b_pi) and then verifies the
-decomposition residually, so PASS certifies invariance and FAIL carries
-explicit witnesses. Every sigma <= tau sum reads categories.incidence;
-for m <= n the solve is unitriangular forward substitution on it, finest
-partitions first (the generic Moebius recursion of FinitePoset is the
-oracle in the tests).
+checker finds candidate coefficients and then verifies the decomposition
+residually, so PASS certifies invariance and FAIL carries explicit
+witnesses. For m <= n the candidates come from the triangular solve:
+forward substitution on categories.incidence, finest partitions first
+(the generic Moebius recursion of FinitePoset is the oracle in the
+tests). An order it reproduces exactly passes without a Weingarten
+matrix; for m > n, and for an order that fails, the candidates are the
+Weingarten averages (phi applied to the averaged words b_pi), formed in
+integer arithmetic. Every sigma <= tau sum reads categories.incidence.
 
 Coefficient families come in two flavors: c_pi (moment-side) and C_pi
 (cumulant-side), related like moments and cumulants; both conversions
@@ -19,7 +21,7 @@ run the first-block recursion of the transforms in cumulants.py.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, perm
+from math import perm
 
 from .categories import O_PLUS, S_PLUS, category_contains, enumerate_category, incidence
 from .cumulants import (
@@ -32,6 +34,7 @@ from .cumulants import (
     kernel_classes,
     moments_from_cumulants,
     representative_tuple,
+    scale_into,
     tuple_kernels,
 )
 from .errors import (
@@ -98,12 +101,6 @@ class InvarianceReport:
         }
 
 
-def _exact_sum(values):
-    """Sum of Fractions as one integer sum over their common denominator."""
-    D = lcm(*(v.denominator for v in values))
-    return Fraction(sum(v.numerator * (D // v.denominator) for v in values), D)
-
-
 def averaged_coefficients(mt, cat, m):
     """c^avg_sigma = sum_pi Wg(sigma,pi) S_pi with S_pi the delta-sum.
 
@@ -112,65 +109,125 @@ def averaged_coefficients(mt, cat, m):
     phi~(tau), the falling factorial perm(n, #tau) counting the tuples in
     the class.
     """
+    nums = {}
+    L = scale_into(nums, mt.values[m])
+    basis, c, D = _averaged(mt, cat, m, nums)
+    return {sigma: Fraction(v, D * L) for sigma, v in zip(basis, c)}
+
+
+def _averaged(mt, cat, m, nums):
+    """(basis, c, D): c^avg = c / (D * L) for the layer nums over L.
+
+    nums holds the order-m entries as integers over their common
+    denominator L, and (D, num) is the integer form of Wg, so each
+    coefficient is one integer dot product.
+    """
     basis = enumerate_category(cat, m)
     if not basis:
-        return {}
+        return basis, [], 1
     n = mt.n
     if mt.repr == KERNEL:
-        class_sums = {tau: perm(n, num_blocks(tau)) * v for tau, v in mt.values[m].items()}
+        sums = {tau: perm(n, num_blocks(tau)) * v for tau, v in nums.items()}
     else:
-        kern = tuple_kernels(m, n)
-        groups = {}
-        for i, v in mt.values[m].items():
-            groups.setdefault(kern[i], []).append(v)
-        class_sums = {tau: _exact_sum(vs) for tau, vs in groups.items()}
+        sums = {}
+        for i, tau in tuple_kernels(m, n).items():
+            sums[tau] = sums.get(tau, 0) + nums[i]
     below = incidence(cat, m, n)
-    S = [_ZERO] * len(basis)
-    for tau, v in class_sums.items():
-        for a in below.get(tau, ()):
-            S[a] += v
-    wg = weingarten(cat, m, n)
-    out = {}
-    for a, sigma in enumerate(basis):
-        row = wg.entries[a]
-        out[sigma] = sum((row[b] * S[b] for b in range(len(basis)) if S[b]), Fraction(0))
-    return out
+    S = [0] * len(basis)
+    for tau, v in sums.items():
+        if v:
+            for a in below.get(tau, ()):
+                S[a] += v
+    D, num = weingarten(cat, m, n).integer_form
+    support = [(b, v) for b, v in enumerate(S) if v]
+    return basis, [sum(row[b] * v for b, v in support) for row in num], D
+
+
+def _triangular_certificate(mt, cat, m, nums):
+    """c on C(m), over the layer's denominator, when phi~(tau) = sum of
+    c_sigma over sigma <= tau holds exactly at order m <= n; else None.
+
+    c is the forward substitution on the kernel view of nums (integer
+    entries over one denominator), and every class is re-summed from it.
+    A dense layer that is not kernel-uniform gives None: every G_n
+    contains S_n.
+    """
+    if mt.repr == KERNEL:
+        view = nums
+    else:
+        view = {}
+        for i, tau in tuple_kernels(m, mt.n).items():
+            if view.setdefault(tau, nums[i]) != nums[i]:
+                return None
+    basis = enumerate_category(cat, m)
+    below = incidence(cat, m, mt.n)
+    c = _forward_substitute(view, basis, below, range(len(basis)))
+    for tau, v in view.items():
+        if sum(c[a] for a in below.get(tau, ())) != v:
+            return None
+    return c
 
 
 def check_invariance(mt, cat, up_to=None, tolerance=None):
     """Certify G_n-invariance order by order; exact PASS/FAIL report.
+
+    An order m <= n that the triangular solve matches exactly passes
+    with its coefficients and zero residuals, and needs no Weingarten
+    matrix: there G = Z Delta Z^T with Z unitriangular on C(m), so the
+    averaged coefficients are the same numbers. Every other order (m > n,
+    or a nonzero triangular residual) is certified by Weingarten
+    averaging, which raises SingularGram when the Gram matrix is
+    singular, and each entry is compared with the re-summed coefficients.
 
     With a tolerance, a nonzero residual fails only when it exceeds
     tolerance * max(1, |expected|); every residual is tested before the
     witnesses are capped at MAX_WITNESSES.
     """
     M = mt.max_order if up_to is None else min(up_to, mt.max_order)
+    n = mt.n
     coefficients = {}
     residuals = {}
     witnesses = []
     failed = False
     for m in range(1, M + 1):
-        cavg = averaged_coefficients(mt, cat, m)
-        coefficients[m] = cavg
-        predicted = _incident_sums(list(cavg.values()), cat, m, mt.n)
         layer = mt.values[m]
-        layer_resid = {}
+        nums = {}
+        L = scale_into(nums, layer)
+        c = _triangular_certificate(mt, cat, m, nums) if m <= n else None
+        if c is not None:
+            coefficients[m] = {sigma: Fraction(v, L) for sigma, v in zip(enumerate_category(cat, m), c)}
+            residuals[m] = dict.fromkeys(kernel_classes(m, n), _ZERO)
+            continue
+        basis, c, D = _averaged(mt, cat, m, nums)
+        coefficients[m] = {sigma: Fraction(v, D * L) for sigma, v in zip(basis, c)}
+        # an entry a = A / L equals the prediction P / (D * L) iff A * D == P
+        below = incidence(cat, m, n)
+        predicted = {}
+        target = {}
+        for tau in kernel_classes(m, n):
+            P = sum(c[a] for a in below.get(tau, ()))
+            predicted[tau] = Fraction(P, D * L)
+            target[tau] = P // D if P % D == 0 else None
         if mt.repr == KERNEL:
-            rows = ((tau, representative_tuple(tau), layer[tau]) for tau in sorted(layer))
+            rows = ((tau, representative_tuple(tau), tau) for tau in sorted(layer))
         else:
-            kern = tuple_kernels(m, mt.n)
-            rows = ((kern[i], i, layer[i]) for i in sorted(layer))
-        for tau, i, a in rows:
-            r = a - predicted[tau] if a != predicted[tau] else _ZERO
+            rows = ((tau, i, i) for i, tau in tuple_kernels(m, n).items())
+        layer_resid = {}
+        for tau, i, key in rows:
+            if nums[key] == target[tau]:
+                layer_resid.setdefault(tau, _ZERO)
+                continue
+            a, p = layer[key], predicted[tau]
             if not layer_resid.get(tau):
-                layer_resid[tau] = r
-            if r and (tolerance is None or abs(r) > tolerance * max(1, abs(predicted[tau]))):
-                failed = True
-                if len(witnesses) < MAX_WITNESSES:
-                    witnesses.append((m, i, predicted[tau], a))
+                layer_resid[tau] = a - p
+            if tolerance is not None and abs(a - p) <= tolerance * max(1, abs(p)):
+                continue
+            failed = True
+            if len(witnesses) < MAX_WITNESSES:
+                witnesses.append((m, i, p, a))
         residuals[m] = layer_resid
     return InvarianceReport(
-        "FAIL" if failed else "PASS", cat, mt.n, mt.max_order, coefficients, residuals, witnesses
+        "FAIL" if failed else "PASS", cat, n, mt.max_order, coefficients, residuals, witnesses
     )
 
 
@@ -226,7 +283,7 @@ def _forward_substitute(view, basis, below, positions):
     """
     c = [None] * len(basis)
     for a in sorted(positions, key=lambda a: -num_blocks(basis[a])):
-        c[a] = view[basis[a]] - sum((c[b] for b in below[basis[a]] if b != a), _ZERO)
+        c[a] = view[basis[a]] - sum(c[b] for b in below[basis[a]] if b != a)
     return c
 
 

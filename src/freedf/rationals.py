@@ -16,6 +16,8 @@ def format_rational(x):
 
 
 def parse_rational(text):
+    if isinstance(text, bool):
+        raise BadRational("a boolean is not a rational: %r" % text)
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, float):

@@ -21,8 +21,9 @@ import tempfile
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .errors import FreedfError, NotInPoset, SingularGram, SizeMismatch
+from .errors import FreedfError, NotInPoset, SingularGram, SizeMismatch, TableTooLarge
 from .categories import c_leq, enumerate_category
+from .cumulants import DENSE_GUARD
 from .partitions import Partition, join_num_blocks, parse_partition
 from .rationals import format_rational, parse_rational
 
@@ -30,12 +31,26 @@ CACHE_ENV = "FREEDF_CACHE_DIR"
 
 
 class GramTable:
-    def __init__(self, cat, m, n, basis, entries):
+    """A matrix over the C(m) basis; entries is the public Fraction view."""
+
+    def __init__(self, cat, m, n, basis, entries, integer_form=None):
         self.cat = cat
         self.m = m
         self.n = n
         self.basis = tuple(basis)
         self.entries = tuple(tuple(row) for row in entries)
+        self._integer_form = integer_form
+
+    @property
+    def integer_form(self):
+        """(D, num) with entries = num / D and D the least common denominator.
+
+        Exact sums over the matrix need no Fraction arithmetic in this
+        form. It is formed on first use unless the table was built with it.
+        """
+        if self._integer_form is None:
+            self._integer_form = _scale(self.entries)
+        return self._integer_form
 
     def index(self, p):
         try:
@@ -67,7 +82,15 @@ def _join_exponents(cat, m):
     return got
 
 
+def _check_size(cat, m):
+    """TableTooLarge when an N x N matrix over C(m) exceeds DENSE_GUARD entries."""
+    size = len(enumerate_category(cat, m))
+    if size * size > DENSE_GUARD:
+        raise TableTooLarge("a matrix over C(%d) for %s needs %d x %d entries" % (m, cat, size, size))
+
+
 def gram(cat, m, n):
+    _check_size(cat, m)
     basis, E = _join_exponents(cat, m)
     powers = [n ** k for k in range(m + 1)]
     entries = [[powers[e] for e in row] for row in E]
@@ -253,6 +276,7 @@ def weingarten(cat, m, n):
     got = _WG_CACHE.get((cat, m, n))
     if got is not None:
         return got
+    _check_size(cat, m)
     got = _load_cached(cat, m, n)
     if got is None:
         g = gram(cat, m, n)
@@ -299,9 +323,12 @@ def _load_cached(cat, m, n):
         entries = [[parse_rational(v) for v in row] for row in doc["entries"]]
     except (OSError, ValueError, KeyError, TypeError, FreedfError):
         return None  # unreadable cache entries are rebuilt
-    if basis != tuple(enumerate_category(cat, m)) or not _is_inverse(gram(cat, m, n).entries, entries):
+    if basis != tuple(enumerate_category(cat, m)):
         return None
-    return WeingartenTable(cat, m, n, basis, entries)
+    integer_form = _scale_if_inverse(gram(cat, m, n).entries, entries)
+    if integer_form is None:
+        return None
+    return WeingartenTable(cat, m, n, basis, entries, integer_form=integer_form)
 
 
 def _store_cached(wg):
@@ -367,15 +394,18 @@ def verify_inverse(cat, m, n):
     the Gram rows grouped by exponent (see _times_is_scalar).
     """
     wg = weingarten(cat, m, n)
-    return _is_inverse(gram(cat, m, n).entries, wg.entries)
+    return _scale_if_inverse(gram(cat, m, n).entries, wg.entries) is not None
 
 
-def _is_inverse(A, W):
-    """Exact test of A * W == I for rational W of the same size as A."""
+def _scale_if_inverse(A, W):
+    """_scale(W) when A * W == I holds exactly for W of A's size, else None."""
     if len(W) != len(A) or any(len(row) != len(A) for row in W):
-        return False
-    if not W:
-        return True
-    den = lcm(*(v.denominator for row in W for v in row))
-    num = [[v.numerator * (den // v.denominator) for v in row] for row in W]
-    return _times_is_scalar(A, num, den)
+        return None
+    den, num = _scale(W)
+    return (den, num) if _times_is_scalar(A, num, den) else None
+
+
+def _scale(W):
+    """(den, num) with W = num / den, den the least common denominator."""
+    den = lcm(1, *(v.denominator for row in W for v in row))
+    return den, [[v.numerator * (den // v.denominator) for v in row] for row in W]

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -394,3 +395,31 @@ def test_malformed_layers_are_schema_errors(tmp_path, args, doc):
     result = run(args + [str(path)])
     assert result.exit_code == 2, result.output
     assert json.loads(result.stderr)["error"] == "schema-error"
+
+
+def test_boolean_entry_is_a_bad_rational(tmp_path):
+    # `true` was read as 1/1, and this table PASSed
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(_edited(_KERNEL, (1, {"0": True}))))
+    result = run(_CHECK + [str(path)])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr)["error"] == "bad-rational"
+
+
+def test_matrix_size_guard_reaches_every_command(tmp_path, monkeypatch):
+    wg_module = importlib.import_module("freedf.weingarten")
+    monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)
+    monkeypatch.setattr(wg_module, "_WG_CACHE", {})
+    # |C(6)| = 132 for s+; orders up to 5 stay below the lowered guard
+    monkeypatch.setattr(wg_module, "DENSE_GUARD", 132 * 132 - 1)
+    table = tmp_path / "s4.json"
+    run_checked(["generate", "--category", "s+", "--n", "4", "--max-order", "6", "--seed", "1", "--output", str(table)])
+    for args in (
+        ["gram", "--category", "s+", "--m", "6", "--n", "4"],
+        ["weingarten", "--category", "s+", "--m", "6", "--n", "4"],
+        ["haar", "--category", "s+", "--n", "4", "--i", "1,1,1,1,1,1", "--j", "1,1,1,1,1,1"],
+        ["check", "--category", "s+", "--input", str(table)],
+    ):
+        result = run(args)
+        assert result.exit_code == 2, (args, result.output)
+        assert json.loads(result.stderr)["error"] == "table-too-large"

@@ -18,6 +18,7 @@ from freedf.cumulants import (
     phi_pi,
     representative_tuple,
     table_from_json,
+    tuple_kernels,
 )
 from freedf.definetti import semicircular_model
 from freedf.errors import (
@@ -82,6 +83,24 @@ def test_table_completeness_enforced():
         MomentTable(2, 2, {1: {(1,): Fraction(1)}, 2: {}})
     with pytest.raises(SchemaError):
         MomentTable(2, 1, {1: {(1,): Fraction(1), (2,): Fraction(0)}}, repr="weird")
+
+
+def test_tuple_kernels_is_kernel_of_each_tuple():
+    for m, n in [(m, n) for m in range(1, 6) for n in range(1, 5)] + [(6, 3), (4, 6)]:
+        got = tuple_kernels(m, n)
+        assert list(got) == list(itertools.product(range(1, n + 1), repeat=m))
+        classes = {tau: tau for tau in kernel_classes(m, n)}
+        assert all(tau == kernel(i) and tau is classes[tau] for i, tau in got.items()), (m, n)
+
+
+def test_table_keys_are_checked():
+    # right count, wrong keys: value((1,)) used to raise a bare KeyError
+    with pytest.raises(SchemaError):
+        MomentTable(2, 1, {1: {(5,): 1, (6,): 2}}, repr="dense")
+    with pytest.raises(SchemaError):
+        MomentTable(2, 2, {1: {(0,): 1}, 2: {(0, 0): 1, (0, 2): 1}}, repr="kernel")
+    t = MomentTable(2, 2, {1: {(0,): 1}, 2: {(0, 0): 1, (0, 1): 2}}, repr="kernel")
+    assert t.value((1, 2)) == 2
 
 
 def test_dense_guard():

@@ -1,7 +1,13 @@
 import itertools
+import json
+import random
+from math import perm
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
+
+from freedf import definetti as definetti_module
 
 from freedf.categories import B_PLUS, H_PLUS, O_PLUS, S_PLUS, enumerate_category
 from freedf.cumulants import (
@@ -11,8 +17,10 @@ from freedf.cumulants import (
     cumulants_from_moments,
     kernel_classes,
     moments_from_cumulants,
+    representative_tuple,
 )
 from freedf.definetti import (
+    InvarianceReport,
     C_from_c,
     asymptotic_freeness_probe,
     averaged_coefficients,
@@ -32,8 +40,10 @@ from freedf.errors import (
     MissingLowerOrder,
     NotInvariant,
     OrderExceedsN,
+    SingularGram,
 )
-from freedf.partitions import kernel, leq, one_block, parse_partition, singletons
+from freedf.partitions import kernel, leq, num_blocks, one_block, parse_partition, singletons
+from freedf.weingarten import weingarten
 
 ALL_CATS = (O_PLUS, S_PLUS, H_PLUS, B_PLUS)
 
@@ -419,3 +429,159 @@ def test_probe_report_json():
     assert doc["verdict"] == "DECAY" and doc["category"] == "o+"
     for entry in doc["entries"]:
         assert set(entry) == {"kind", "m", "class", "target", "values", "verdict"}
+
+
+# ---- the triangular certificate against all-orders Weingarten averaging ----
+#
+# reference_check is check_invariance as it was before orders m <= n were
+# certified by the triangular solve: every order is averaged with the
+# Fraction Weingarten matrix, and every entry is compared with
+# Fraction.__eq__.
+
+
+def reference_averaged(mt, cat, m):
+    basis = enumerate_category(cat, m)
+    if not basis:
+        return {}
+    n = mt.n
+    if mt.repr == KERNEL:
+        class_sums = {tau: perm(n, num_blocks(tau)) * v for tau, v in mt.values[m].items()}
+    else:
+        class_sums = {}
+        for i, v in mt.values[m].items():
+            class_sums[kernel(i)] = class_sums.get(kernel(i), Fraction(0)) + v
+    S = [Fraction(0)] * len(basis)
+    for tau, v in class_sums.items():
+        for a, sigma in enumerate(basis):
+            if leq(sigma, tau):
+                S[a] += v
+    wg = weingarten(cat, m, n)
+    return {
+        sigma: sum((wg.entries[a][b] * S[b] for b in range(len(basis)) if S[b]), Fraction(0))
+        for a, sigma in enumerate(basis)
+    }
+
+
+def reference_check(mt, cat, up_to=None, tolerance=None):
+    M = mt.max_order if up_to is None else min(up_to, mt.max_order)
+    coefficients, residuals, witnesses, failed = {}, {}, [], False
+    for m in range(1, M + 1):
+        cavg = reference_averaged(mt, cat, m)
+        coefficients[m] = cavg
+        predicted = {
+            tau: sum((v for s, v in cavg.items() if leq(s, tau)), Fraction(0)) for tau in kernel_classes(m, mt.n)
+        }
+        layer = mt.values[m]
+        layer_resid = {}
+        if mt.repr == KERNEL:
+            rows = ((tau, representative_tuple(tau), layer[tau]) for tau in sorted(layer))
+        else:
+            rows = ((kernel(i), i, layer[i]) for i in sorted(layer))
+        for tau, i, a in rows:
+            r = a - predicted[tau] if a != predicted[tau] else Fraction(0)
+            if not layer_resid.get(tau):
+                layer_resid[tau] = r
+            if r and (tolerance is None or abs(r) > tolerance * max(1, abs(predicted[tau]))):
+                failed = True
+                if len(witnesses) < 100:
+                    witnesses.append((m, i, predicted[tau], a))
+        residuals[m] = layer_resid
+    return InvarianceReport("FAIL" if failed else "PASS", cat, mt.n, mt.max_order, coefficients, residuals, witnesses)
+
+
+def decomposable_table(cat, n, M, rng):
+    """phi~(tau) = sum of c_sigma over sigma <= tau, for random c on every C(m)."""
+    layers = {}
+    for m in range(1, M + 1):
+        c = {s: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for s in enumerate_category(cat, m)}
+        layers[m] = {
+            tau: sum((v for s, v in c.items() if leq(s, tau)), Fraction(0)) for tau in kernel_classes(m, n)
+        }
+    return MomentTable(n, M, layers, repr=KERNEL)
+
+
+def outcome(fn, mt, cat, tolerance):
+    try:
+        return fn(mt, cat, tolerance=tolerance)
+    except SingularGram as e:
+        return ("singular", e.payload())
+
+
+def assert_same_report(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got == want
+    for m in want.coefficients:
+        assert list(got.coefficients[m].items()) == list(want.coefficients[m].items()), m
+        assert list(got.residuals[m].items()) == list(want.residuals[m].items()), m
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    cat=st.sampled_from(ALL_CATS),
+    n=st.integers(min_value=1, max_value=5),
+    M=st.integers(min_value=1, max_value=6),
+    dense=st.booleans(),
+    kind=st.sampled_from(["invariant", "perturbed", "nonuniform"]),
+    step=st.sampled_from([Fraction(1), Fraction(-5, 3), Fraction(1, 10 ** 12)]),
+    seed=st.integers(min_value=0, max_value=10 ** 6),
+)
+def test_check_matches_averaging_reference(cat, n, M, dense, kind, step, seed):
+    rng = random.Random(seed)
+    mt = decomposable_table(cat, n, M, rng)
+    dense = dense and n ** M <= 4096
+    if dense:
+        mt = mt.to_dense()
+    if kind != "invariant":
+        m = rng.randint(1, M)
+        layer = mt.values[m]
+        if not dense:
+            tau = rng.choice(sorted(layer))
+            layer[tau] += step
+        elif kind == "perturbed":
+            # every tuple of one class: still kernel-uniform
+            tau = rng.choice(kernel_classes(m, n))
+            for i in layer:
+                if kernel(i) == tau:
+                    layer[i] += step
+        else:
+            i = rng.choice(sorted(layer))
+            layer[i] += step
+    for tolerance in (None, Fraction(1, 10 ** 9)):
+        want = outcome(reference_check, mt, cat, tolerance)
+        got = outcome(check_invariance, mt, cat, tolerance)
+        assert_same_report(got, want)
+        if kind == "invariant" and not isinstance(want, tuple):
+            assert want.passed
+    for m in range(1, M + 1):
+        try:
+            want = reference_averaged(mt, cat, m)
+        except SingularGram:
+            with pytest.raises(SingularGram):
+                averaged_coefficients(mt, cat, m)
+            continue
+        got = averaged_coefficients(mt, cat, m)
+        assert list(got.items()) == list(want.items())
+
+
+def test_passing_orders_need_no_weingarten(monkeypatch):
+    mt = generate_invariant_model(S_PLUS, 6, 6, seed=3)
+    dense = generate_invariant_model(O_PLUS, 4, 4, seed=3).to_dense()
+
+    def refuse(cat, m, n):
+        raise AssertionError("Weingarten matrix requested at %s m=%d n=%d" % (cat, m, n))
+
+    monkeypatch.setattr(definetti_module, "weingarten", refuse)
+    assert check_invariance(mt, S_PLUS).passed
+    assert check_invariance(dense, O_PLUS).passed
+    # a failing order m <= n is averaged (for its witnesses); lower orders are not
+    requested = []
+    monkeypatch.setattr(definetti_module, "weingarten", lambda cat, m, n: requested.append(m) or weingarten(cat, m, n))
+    dense.values[4][(1, 1, 2, 2)] += 1
+    report = check_invariance(dense, O_PLUS)
+    assert not report.passed and requested == [4]
+    assert {w[0] for w in report.witnesses} == {4}
+    assert (1, 1, 2, 2) in [w[1] for w in report.witnesses]

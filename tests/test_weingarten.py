@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from fractions import Fraction
 from math import lcm
 
 from freedf.categories import B_PLUS, H_PLUS, O_PLUS, S_PLUS
-from freedf.errors import NotInPoset, SingularGram, SizeMismatch
+from freedf.errors import NotInPoset, SingularGram, SizeMismatch, TableTooLarge
 from freedf.partitions import one_block, parse_partition, singletons
 from freedf.weingarten import (
     _WG_CACHE,
@@ -19,6 +20,8 @@ from freedf.weingarten import (
 )
 
 ALL_CATS = (O_PLUS, S_PLUS, H_PLUS, B_PLUS)
+# the package re-exports the function weingarten under the module's name
+wg_module = importlib.import_module("freedf.weingarten")
 
 
 def naive_product_is_identity(g, wg):
@@ -281,3 +284,19 @@ def test_disk_cache(tmp_path, monkeypatch):
 def test_weingarten_process_cache():
     a = weingarten(S_PLUS, 4, 5)
     assert weingarten(S_PLUS, 4, 5) is a
+
+
+def test_size_guard_raises_before_allocating(monkeypatch):
+    monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)
+    monkeypatch.setattr(wg_module, "_EXP_CACHE", {})
+    monkeypatch.setattr(wg_module, "_WG_CACHE", {})
+    # |C(6)| = 132 for s+
+    monkeypatch.setattr(wg_module, "DENSE_GUARD", 132 * 132 - 1)
+    for build in (gram, weingarten):
+        with pytest.raises(TableTooLarge):
+            build(S_PLUS, 6, 4)
+    with pytest.raises(TableTooLarge):
+        haar_moment(S_PLUS, 4, (1,) * 6, (1,) * 6)
+    assert wg_module._EXP_CACHE == {} and wg_module._WG_CACHE == {}
+    monkeypatch.setattr(wg_module, "DENSE_GUARD", 132 * 132)
+    assert len(gram(S_PLUS, 6, 4).basis) == 132
