@@ -66,17 +66,13 @@ def tuple_kernels(m, n):
     """{i: ker(i)} over every tuple of [n]^m, built once per (m, n).
 
     Keys come in itertools.product order and the values are the
-    kernel_classes(m, n) objects. Each class tau fills its tuples by
-    picking the labels of tau out of the injective label tuples over
-    [n], so no tuple is relabelled and no Partition is built.
+    kernel_classes(m, n) objects, found by the plain relabelled tuple,
+    so no Partition is built here and none on later passes.
     """
     got = _TUPLE_KERNELS.get((m, n))
     if got is None:
-        got = dict.fromkeys(itertools.product(range(1, n + 1), repeat=m))
-        for tau in kernel_classes(m, n):
-            pick = itemgetter(*tau) if m > 1 else itemgetter(slice(0, 1))
-            for labels in itertools.permutations(range(1, n + 1), num_blocks(tau)):
-                got[pick(labels)] = tau
+        classes = {t: t for t in kernel_classes(m, n)}
+        got = {i: classes[relabel(i)] for i in itertools.product(range(1, n + 1), repeat=m)}
         _TUPLE_KERNELS[(m, n)] = got
     return got
 
@@ -85,19 +81,13 @@ def _stray_key(layer, m, n, repr):
     """A key of a full-size layer that is not an expected key, or None.
 
     A dense layer of n^m distinct keys is exactly [n]^m when every key is
-    an m-tuple over [n]; that is tested by two set passes, without
-    building [n]^m next to the table.
+    an m-tuple over [n], so [n]^m is not built next to the table.
     """
     if repr == KERNEL:
         classes = set(kernel_classes(m, n))
         return next((key for key in layer if key not in classes), None)
     labels = set(range(1, n + 1))
-    try:
-        if set(map(len, layer)) == {m} and set(itertools.chain.from_iterable(layer)) <= labels:
-            return None
-    except TypeError:
-        pass  # a key without a length: found below
-    return next(key for key in layer if not (isinstance(key, tuple) and len(key) == m and set(key) <= labels))
+    return next((key for key in layer if not (isinstance(key, tuple) and len(key) == m and set(key) <= labels)), None)
 
 
 class Table:

@@ -143,39 +143,14 @@ def _averaged(mt, cat, m, nums):
     return basis, [sum(row[b] * v for b, v in support) for row in num], D
 
 
-def _triangular_certificate(mt, cat, m, nums):
-    """c on C(m), over the layer's denominator, when phi~(tau) = sum of
-    c_sigma over sigma <= tau holds exactly at order m <= n; else None.
-
-    c is the forward substitution on the kernel view of nums (integer
-    entries over one denominator), and every class is re-summed from it.
-    A dense layer that is not kernel-uniform gives None: every G_n
-    contains S_n.
-    """
-    if mt.repr == KERNEL:
-        view = nums
-    else:
-        view = {}
-        for i, tau in tuple_kernels(m, mt.n).items():
-            if view.setdefault(tau, nums[i]) != nums[i]:
-                return None
-    basis = enumerate_category(cat, m)
-    below = incidence(cat, m, mt.n)
-    c = _forward_substitute(view, basis, below, range(len(basis)))
-    for tau, v in view.items():
-        if sum(c[a] for a in below.get(tau, ())) != v:
-            return None
-    return c
-
-
 def check_invariance(mt, cat, up_to=None, tolerance=None):
     """Certify G_n-invariance order by order; exact PASS/FAIL report.
 
-    An order m <= n that the triangular solve matches exactly passes
-    with its coefficients and zero residuals, and needs no Weingarten
-    matrix: there G = Z Delta Z^T with Z unitriangular on C(m), so the
-    averaged coefficients are the same numbers. Every other order (m > n,
-    or a nonzero triangular residual) is certified by Weingarten
+    An order m <= n that solve_moment_coefficients reproduces exactly
+    passes with its coefficients and zero residuals, and needs no
+    Weingarten matrix: there G = Z Delta Z^T with Z unitriangular on
+    C(m), so the averaged coefficients are the same numbers. Every other
+    order (m > n, or one the solve rejects) is certified by Weingarten
     averaging, which raises SingularGram when the Gram matrix is
     singular, and each entry is compared with the re-summed coefficients.
 
@@ -190,14 +165,16 @@ def check_invariance(mt, cat, up_to=None, tolerance=None):
     witnesses = []
     failed = False
     for m in range(1, M + 1):
+        if m <= n:
+            try:
+                coefficients[m] = solve_moment_coefficients(mt, cat, m).values
+                residuals[m] = dict.fromkeys(kernel_classes(m, n), _ZERO)
+                continue
+            except NotInvariant:
+                pass  # averaging finds the same coefficients and the witnesses
         layer = mt.values[m]
         nums = {}
         L = scale_into(nums, layer)
-        c = _triangular_certificate(mt, cat, m, nums) if m <= n else None
-        if c is not None:
-            coefficients[m] = {sigma: Fraction(v, L) for sigma, v in zip(enumerate_category(cat, m), c)}
-            residuals[m] = dict.fromkeys(kernel_classes(m, n), _ZERO)
-            continue
         basis, c, D = _averaged(mt, cat, m, nums)
         coefficients[m] = {sigma: Fraction(v, D * L) for sigma, v in zip(basis, c)}
         # an entry a = A / L equals the prediction P / (D * L) iff A * D == P
@@ -283,7 +260,7 @@ def _forward_substitute(view, basis, below, positions):
     """
     c = [None] * len(basis)
     for a in sorted(positions, key=lambda a: -num_blocks(basis[a])):
-        c[a] = view[basis[a]] - sum(c[b] for b in below[basis[a]] if b != a)
+        c[a] = view[basis[a]] - sum((c[b] for b in below[basis[a]] if b != a), _ZERO)
     return c
 
 

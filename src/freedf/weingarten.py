@@ -33,20 +33,20 @@ CACHE_ENV = "FREEDF_CACHE_DIR"
 class GramTable:
     """A matrix over the C(m) basis; entries is the public Fraction view."""
 
-    def __init__(self, cat, m, n, basis, entries, integer_form=None):
+    def __init__(self, cat, m, n, basis, entries):
         self.cat = cat
         self.m = m
         self.n = n
         self.basis = tuple(basis)
         self.entries = tuple(tuple(row) for row in entries)
-        self._integer_form = integer_form
+        self._integer_form = None
 
     @property
     def integer_form(self):
         """(D, num) with entries = num / D and D the least common denominator.
 
         Exact sums over the matrix need no Fraction arithmetic in this
-        form. It is formed on first use unless the table was built with it.
+        form. It is formed on first use.
         """
         if self._integer_form is None:
             self._integer_form = _scale(self.entries)
@@ -276,7 +276,6 @@ def weingarten(cat, m, n):
     got = _WG_CACHE.get((cat, m, n))
     if got is not None:
         return got
-    _check_size(cat, m)
     got = _load_cached(cat, m, n)
     if got is None:
         g = gram(cat, m, n)
@@ -323,12 +322,9 @@ def _load_cached(cat, m, n):
         entries = [[parse_rational(v) for v in row] for row in doc["entries"]]
     except (OSError, ValueError, KeyError, TypeError, FreedfError):
         return None  # unreadable cache entries are rebuilt
-    if basis != tuple(enumerate_category(cat, m)):
+    if basis != tuple(enumerate_category(cat, m)) or not _is_inverse(gram(cat, m, n).entries, entries):
         return None
-    integer_form = _scale_if_inverse(gram(cat, m, n).entries, entries)
-    if integer_form is None:
-        return None
-    return WeingartenTable(cat, m, n, basis, entries, integer_form=integer_form)
+    return WeingartenTable(cat, m, n, basis, entries)
 
 
 def _store_cached(wg):
@@ -394,18 +390,20 @@ def verify_inverse(cat, m, n):
     the Gram rows grouped by exponent (see _times_is_scalar).
     """
     wg = weingarten(cat, m, n)
-    return _scale_if_inverse(gram(cat, m, n).entries, wg.entries) is not None
+    return _is_inverse(gram(cat, m, n).entries, wg.entries)
 
 
-def _scale_if_inverse(A, W):
-    """_scale(W) when A * W == I holds exactly for W of A's size, else None."""
+def _is_inverse(A, W):
+    """Exact test of A * W == I for rational W of the same size as A."""
     if len(W) != len(A) or any(len(row) != len(A) for row in W):
-        return None
+        return False
+    if not W:
+        return True
     den, num = _scale(W)
-    return (den, num) if _times_is_scalar(A, num, den) else None
+    return _times_is_scalar(A, num, den)
 
 
 def _scale(W):
     """(den, num) with W = num / den, den the least common denominator."""
-    den = lcm(1, *(v.denominator for row in W for v in row))
+    den = lcm(*(v.denominator for row in W for v in row))
     return den, [[v.numerator * (den // v.denominator) for v in row] for row in W]
