@@ -152,7 +152,9 @@ def check_invariance(mt, cat, up_to=None, tolerance=None):
     C(m), so the averaged coefficients are the same numbers. Every other
     order (m > n, or one the solve rejects) is certified by Weingarten
     averaging, which raises SingularGram when the Gram matrix is
-    singular, and each entry is compared with the re-summed coefficients.
+    singular and TableTooLarge when |C(m)|^2 exceeds DENSE_GUARD, and
+    each entry is compared with the re-summed coefficients. Only averaged
+    orders read or write FREEDF_CACHE_DIR entries.
 
     With a tolerance, a nonzero residual fails only when it exceeds
     tolerance * max(1, |expected|); every residual is tested before the
