@@ -14,6 +14,10 @@ kappa_pi(i) is summed by the block V of pi containing position 1
 phi on each gap of V, 2^(m-1) terms instead of |NC(m)|. Only the term
 V = [m] is of order m, so one recursion, run upward, serves both
 directions.
+
+Tables are read by matching keys, not parsing them: a key whose text is
+the one to_json writes at its position (dense layers in itertools.product
+order) is taken as is, and any other key is parsed and validated.
 """
 
 import itertools
@@ -39,7 +43,7 @@ from .partitions import (
     relabel,
     render_index_tuple,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, rational_reader
 
 DENSE_GUARD = 10 ** 7
 
@@ -66,15 +70,29 @@ def tuple_kernels(m, n):
     """{i: ker(i)} over every tuple of [n]^m, built once per (m, n).
 
     Keys come in itertools.product order and the values are the
-    kernel_classes(m, n) objects, found by the plain relabelled tuple,
-    so no Partition is built here and none on later passes.
+    kernel_classes(m, n) objects. Each class tau fills its tuples by
+    cutting the labels of tau out of the injective label tuples over
+    [n], so no tuple is relabelled and no Partition is built.
     """
     got = _TUPLE_KERNELS.get((m, n))
     if got is None:
-        classes = {t: t for t in kernel_classes(m, n)}
-        got = {i: classes[relabel(i)] for i in itertools.product(range(1, n + 1), repeat=m)}
+        got = dict.fromkeys(itertools.product(range(1, n + 1), repeat=m))
+        for tau in kernel_classes(m, n):
+            pick = _cut(tau)
+            for labels in itertools.permutations(range(1, n + 1), num_blocks(tau)):
+                got[pick(labels)] = tau
         _TUPLE_KERNELS[(m, n)] = got
     return got
+
+
+def product_keys(n, m):
+    """Every tuple of [n]^m in itertools.product order with its text "1,3,2",
+    built as its prefix's text plus one label; no n^m texts are kept."""
+    texts = [str(k) for k in range(1, n + 1)]
+    tails = ["," + t for t in texts]
+    for _ in range(m - 1):
+        texts = (t + tail for t in texts for tail in tails)
+    return zip(itertools.product(range(1, n + 1), repeat=m), texts)
 
 
 def _stray_key(layer, m, n, repr):
@@ -141,7 +159,8 @@ class Table:
         for i, v in self.values[m].items():
             tau = kern[i]
             if tau in out:
-                if out[tau] != v:
+                # entries read from one text are one object
+                if out[tau] is not v and out[tau] != v:
                     raise NotKernelRepresentable(
                         "tuples %s and %s share kernel %s but differ: %s vs %s"
                         % (rep[tau], i, tau, out[tau], v)
@@ -170,10 +189,12 @@ class Table:
     def to_json(self):
         vals = {}
         for m in range(1, self.max_order + 1):
-            layer = {}
-            for key in sorted(self.values[m]):
-                layer[render_index_tuple(key)] = format_rational(self.values[m][key])
-            vals[str(m)] = layer
+            layer = self.values[m]
+            if self.repr == DENSE:
+                keys = product_keys(self.n, m)  # product order is sorted order
+            else:
+                keys = ((key, render_index_tuple(key)) for key in sorted(layer))
+            vals[str(m)] = {text: format_rational(layer[key]) for key, text in keys}
         return {
             "n": self.n,
             "max_order": self.max_order,
@@ -215,11 +236,16 @@ def parse_rgs_key(text, m):
     return key
 
 
+_PAST_END = itertools.repeat((None, object()))  # a text no key equals
+
+
 def parse_layers(raw, max_order, parse_key, expected):
     """{m: {key: Fraction}} for m = 1..max_order from {"m": {text: value}}.
 
-    parse_key(text, m) reads one key; order m must then carry exactly the
-    keys of expected(m), each given once.
+    expected(m) yields the keys of order m as (key, text) pairs in the
+    order to_json writes them; order m must carry exactly these keys, each
+    given once. A text equal to the expected one at its position takes its
+    key unparsed; any other is read by parse_key(text, m).
     """
     if not isinstance(raw, dict):
         raise SchemaError("field 'values' must be an object keyed by order")
@@ -230,23 +256,28 @@ def parse_layers(raw, max_order, parse_key, expected):
             raise IncompleteTable("values for order %d are missing" % m, missing=[str(m)])
         if not isinstance(layer_doc, dict):
             raise SchemaError("values for order %d must be an object keyed by entry" % m)
-        layer = {}
-        for text, val in layer_doc.items():
-            key = parse_key(text, m)
+        layer, read, matched = {}, rational_reader(), 0
+        want = iter(expected(m))
+        for (text, val), (key, canon) in zip(layer_doc.items(), itertools.chain(want, _PAST_END)):
+            if text == canon:
+                matched += 1
+            else:
+                key = parse_key(text, m)
             if key in layer:
                 raise SchemaError("order %d repeats the key %s as %r" % (m, render_index_tuple(key), text))
-            layer[key] = parse_rational(val)
-        want = expected(m)
-        missing = [k for k in want if k not in layer]
+            layer[key] = read(val)
+        out[m] = layer
+        if matched == len(layer) and next(want, None) is None:
+            continue  # every expected key, in order
+        missing = [key for key, _ in expected(m) if key not in layer]
         if missing:
             shown = [render_index_tuple(k) for k in missing[:8]]
             raise IncompleteTable(
                 "order %d is missing %d entries, e.g. %s" % (m, len(missing), ", ".join(shown)), missing=shown
             )
-        if len(layer) != len(want):
-            unexpected = sorted(set(layer) - set(want))[0]
-            raise SchemaError("order %d carries an unexpected key %r" % (m, render_index_tuple(unexpected)))
-        out[m] = layer
+        stray = set(layer).difference(key for key, _ in expected(m))
+        if stray:
+            raise SchemaError("order %d carries an unexpected key %r" % (m, render_index_tuple(min(stray))))
     return out
 
 
@@ -265,7 +296,9 @@ def table_from_json(doc):
     if rep not in (DENSE, KERNEL):
         raise SchemaError("field 'repr' must be 'dense' or 'kernel', got %r" % (rep,))
     if rep == KERNEL:
-        values = parse_layers(doc["values"], max_order, parse_rgs_key, lambda m: kernel_classes(m, n))
+        values = parse_layers(
+            doc["values"], max_order, parse_rgs_key, lambda m: [(tau, str(tau)) for tau in kernel_classes(m, n)]
+        )
     else:
         _check_dense_size(n, max_order)
 
@@ -275,10 +308,7 @@ def table_from_json(doc):
                 raise SchemaError("tuple %r under order %d has length %d" % (text, m, len(key)))
             return key
 
-        def tuples(m):
-            return list(itertools.product(range(1, n + 1), repeat=m))
-
-        values = parse_layers(doc["values"], max_order, tuple_key, tuples)
+        values = parse_layers(doc["values"], max_order, tuple_key, lambda m: product_keys(n, m))
     cls = MomentTable if kind == "moments" else CumulantTable
     return cls(n, max_order, values, repr=rep)
 

@@ -41,3 +41,20 @@ def parse_rational(text):
     if q == 0:
         raise BadRational("zero denominator in %r" % s)
     return Fraction(p, q)
+
+
+def rational_reader():
+    """parse_rational that parses each distinct string once, equal strings
+    sharing one Fraction. Other values are parsed on every call, so True
+    (the same dict key as 1) stays a BadRational."""
+    memo = {}
+
+    def read(value):
+        if not isinstance(value, str):
+            return parse_rational(value)
+        got = memo.get(value)
+        if got is None:
+            got = memo[value] = parse_rational(value)
+        return got
+
+    return read

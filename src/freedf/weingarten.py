@@ -25,7 +25,7 @@ from .errors import FreedfError, NotInPoset, SingularGram, SizeMismatch, TableTo
 from .categories import c_leq, enumerate_category
 from .cumulants import DENSE_GUARD
 from .partitions import Partition, join_num_blocks, parse_partition
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, rational_reader
 
 CACHE_ENV = "FREEDF_CACHE_DIR"
 
@@ -319,7 +319,8 @@ def _load_cached(cat, m, n):
         if (doc["category"], doc["m"], doc["n"]) != (cat.value, m, n):
             return None
         basis = tuple(parse_partition(s) if s else Partition() for s in doc["basis"])
-        entries = [[parse_rational(v) for v in row] for row in doc["entries"]]
+        read = rational_reader()
+        entries = [[read(v) for v in row] for row in doc["entries"]]
     except (OSError, ValueError, KeyError, TypeError, FreedfError):
         return None  # unreadable cache entries are rebuilt
     if basis != tuple(enumerate_category(cat, m)) or not _is_inverse(gram(cat, m, n).entries, entries):

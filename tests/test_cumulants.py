@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import random
@@ -15,12 +16,14 @@ from freedf.cumulants import (
     kappa_pi,
     kernel_classes,
     moments_from_cumulants,
+    parse_rgs_key,
     phi_pi,
     representative_tuple,
     table_from_json,
     tuple_kernels,
 )
-from freedf.definetti import semicircular_model
+from freedf.categories import S_PLUS
+from freedf.definetti import generate_invariant_model, semicircular_model
 from freedf.errors import (
     BadRational,
     IncompleteTable,
@@ -35,9 +38,14 @@ from freedf.partitions import (
     kernel,
     num_blocks,
     one_block,
+    parse_index_tuple,
     parse_partition,
+    render_index_tuple,
     singletons,
 )
+from freedf.rationals import parse_rational
+
+rationals = importlib.import_module("freedf.rationals")
 
 
 def random_dense_moments(n, M, seed):
@@ -86,7 +94,7 @@ def test_table_completeness_enforced():
 
 
 def test_tuple_kernels_is_kernel_of_each_tuple():
-    for m, n in [(m, n) for m in range(1, 6) for n in range(1, 5)] + [(6, 3), (4, 6)]:
+    for m, n in [(m, n) for m in range(1, 6) for n in range(1, 5)] + [(6, 3), (4, 6), (1, 1), (1, 5), (6, 6)]:
         got = tuple_kernels(m, n)
         assert list(got) == list(itertools.product(range(1, n + 1), repeat=m))
         classes = {tau: tau for tau in kernel_classes(m, n)}
@@ -322,3 +330,159 @@ def test_table_from_json_accepts_plain_numbers():
 def test_round_trip_property(seed):
     t = random_dense_moments(2, 4, seed=seed)
     assert moments_from_cumulants(cumulants_from_moments(t)).values == t.values
+
+
+# ---- reading by text match ----------------------------------------------------
+
+
+def reference_table_from_json(doc):
+    """The per-key reader that preceded text matching, kept as the oracle:
+    every key through its parser, every value through parse_rational, the
+    missing-key test against a list of the expected keys."""
+    n, max_order = doc["n"], doc["max_order"]
+    values = {}
+    for m in range(1, max_order + 1):
+        layer_doc = doc["values"].get(str(m))
+        if layer_doc is None:
+            raise IncompleteTable("values for order %d are missing" % m, missing=[str(m)])
+        if not isinstance(layer_doc, dict):
+            raise SchemaError("values for order %d must be an object keyed by entry" % m)
+        layer = {}
+        for text, val in layer_doc.items():
+            if doc["repr"] == KERNEL:
+                key = parse_rgs_key(text, m)
+            else:
+                key = parse_index_tuple(text, n)
+                if len(key) != m:
+                    raise SchemaError("tuple %r under order %d has length %d" % (text, m, len(key)))
+            if key in layer:
+                raise SchemaError("order %d repeats the key %s as %r" % (m, render_index_tuple(key), text))
+            layer[key] = parse_rational(val)
+        if doc["repr"] == KERNEL:
+            want = kernel_classes(m, n)
+        else:
+            want = list(itertools.product(range(1, n + 1), repeat=m))
+        missing = [k for k in want if k not in layer]
+        if missing:
+            shown = [render_index_tuple(k) for k in missing[:8]]
+            raise IncompleteTable(
+                "order %d is missing %d entries, e.g. %s" % (m, len(missing), ", ".join(shown)), missing=shown
+            )
+        if len(layer) != len(want):
+            unexpected = sorted(set(layer) - set(want))[0]
+            raise SchemaError("order %d carries an unexpected key %r" % (m, render_index_tuple(unexpected)))
+        values[m] = layer
+    cls = MomentTable if doc["kind"] == "moments" else CumulantTable
+    return cls(n, max_order, values, repr=doc["repr"])
+
+
+def read_outcome(reader, doc):
+    """A table as comparable data, or its error class, message and payload."""
+    try:
+        t = reader(json.loads(json.dumps(doc)))
+    except Exception as e:
+        return type(e), str(e), getattr(e, "payload", lambda: None)()
+    return type(t), t.n, t.max_order, t.repr, {m: list(layer.items()) for m, layer in t.values.items()}
+
+
+GOOD_VALUES = ("1", "1", "0", "1/2", "-3/6", "1/1", 1, 1.0, 2, "7")
+ANY_VALUES = GOOD_VALUES + (True, False, "x", "1/0", "", " 1 ", "1/2/3", 0.5)
+
+
+def respell(text, rng):
+    """Another spelling of a key text: a zero-padded or spaced label."""
+    labels = text.split(",")
+    k = rng.randrange(len(labels))
+    labels[k] = rng.choice(("0" + labels[k], " " + labels[k], labels[k] + " ", "00" + labels[k]))
+    return ",".join(labels)
+
+
+def stray_key(rep, n, m, rng):
+    """A key that is not an expected key of order m."""
+    if rep == KERNEL:
+        # m singletons when they have more than n blocks, else a key of the wrong size
+        return rng.choice((",".join(map(str, range(m if m > n else m + 1))), "0,2", "x"))
+    return rng.choice(("%d" % (n + 1), "0", ",".join(["1"] * (m + 1)), "a", ""))
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    st.sampled_from([(1, 3), (2, 1), (2, 3), (3, 2), (10, 2), (2, 4), (3, 4)]),
+    st.sampled_from([DENSE, DENSE, KERNEL]),
+    st.lists(
+        st.sampled_from(("shuffle", "text-order", "respell", "dup-before", "dup-after", "drop", "stray", "bad")),
+        max_size=3,
+    ),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_reader_matches_per_key_reader(shape, rep, ops, bad_values, rng):
+    n, M = shape
+    if rep == DENSE and n ** M > 200:
+        M = 2
+    values, target = {}, rng.randint(1, M)  # the order the ops mangle
+    for m in range(1, M + 1):
+        pool = ANY_VALUES if bad_values else GOOD_VALUES
+        if rep == KERNEL:
+            keys = [str(tau) for tau in kernel_classes(m, n)]
+        else:
+            keys = [render_index_tuple(i) for i in itertools.product(range(1, n + 1), repeat=m)]
+        items = [(text, rng.choice(pool)) for text in keys]
+        for op in ops if m == target else ():
+            if not items:
+                break
+            j = rng.randrange(len(items))
+            if op == "shuffle":
+                rng.shuffle(items)
+            elif op == "text-order":
+                items.sort(key=lambda item: item[0])
+            elif op == "respell":
+                items[j] = (respell(items[j][0], rng), items[j][1])
+            elif op in ("dup-before", "dup-after"):
+                # the same key twice, the other spelling first or second
+                items.insert(j if op == "dup-before" else j + 1, (respell(items[j][0], rng), rng.choice(pool)))
+            elif op == "drop":
+                del items[j]
+            elif op == "stray":
+                items.insert(j, (stray_key(rep, n, m, rng), "1"))
+            else:
+                items[j] = (items[j][0], rng.choice(("x", True, "1/0")))
+        values[str(m)] = dict(items)
+    doc = {"n": n, "max_order": M, "kind": "moments", "repr": rep, "values": values}
+    assert read_outcome(table_from_json, doc) == read_outcome(reference_table_from_json, doc)
+
+
+def test_reader_matches_per_key_reader_on_fixed_documents():
+    kernel = semicircular_model(2, 3).to_json()
+    kernel["values"]["3"]["0,1,2"] = "1"  # three blocks over n = 2
+    dense = random_dense_moments(10, 2, seed=13).to_json()
+    dense["values"]["2"] = dict(sorted(dense["values"]["2"].items()))  # "1,10" before "1,2"
+    got = [read_outcome(table_from_json, doc) for doc in (kernel, dense)]
+    assert got == [read_outcome(reference_table_from_json, doc) for doc in (kernel, dense)]
+    assert got[0][:2] == (SchemaError, "order 3 carries an unexpected key '0,1,2'")
+    assert got[1][0] is MomentTable
+
+
+def test_dense_reader_keeps_booleans_bad_after_memoising_one():
+    doc = {"n": 2, "max_order": 1, "kind": "moments", "repr": "dense", "values": {"1": {"1": "1", "2": True}}}
+    with pytest.raises(BadRational) as exc:
+        table_from_json(doc)
+    assert str(exc.value) == "a boolean is not a rational: True"
+    doc["values"]["1"] = {"1": "1", "2": 1}
+    assert table_from_json(doc).values[1] == {(1,): 1, (2,): 1}
+
+
+def test_dense_reader_parses_each_value_string_once_per_layer(monkeypatch):
+    doc = generate_invariant_model(S_PLUS, 4, 4, seed=3).to_dense().to_json()
+    calls = []
+    real_parse = rationals.parse_rational
+    monkeypatch.setattr(rationals, "parse_rational", lambda v: calls.append(v) or real_parse(v))
+    t = table_from_json(doc)
+    layers = doc["values"]
+    assert len(calls) == sum(len(set(layers[str(m)].values())) for m in range(1, 5))
+    assert len(calls) < sum(len(layers[str(m)]) for m in range(1, 5)) // 10
+    for m in range(1, 5):
+        shared = {}
+        for text, v in layers[str(m)].items():
+            assert shared.setdefault(v, t.value(parse_index_tuple(text))) is t.value(parse_index_tuple(text))
+    assert t.to_json() == doc

@@ -42,3 +42,21 @@ def test_parse_errors():
 def test_round_trip(a, b):
     q = Fraction(a, b)
     assert parse_rational(format_rational(q)) == q
+
+
+def test_rational_reader_parses_each_string_once(monkeypatch):
+    import freedf.rationals as rationals
+
+    seen = []
+    monkeypatch.setattr(rationals, "parse_rational", lambda v: seen.append(v) or parse_rational(v))
+    read = rationals.rational_reader()
+    a, b = read("2/4"), read("2/4")
+    assert a == Fraction(1, 2) and a is b
+    assert read(" 2/4") == a and read(1) == 1 and read(1) == 1 and read(0.5) == a
+    assert seen == ["2/4", " 2/4", 1, 1, 0.5]
+    # True is the same dict key as 1, but never reaches the memo
+    assert read("1") == 1
+    for bad in (True, "1/0", "1/0"):
+        with pytest.raises(BadRational):
+            read(bad)
+    assert seen[-3:] == [True, "1/0", "1/0"]

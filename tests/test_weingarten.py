@@ -8,6 +8,7 @@ from math import lcm
 from freedf.categories import B_PLUS, H_PLUS, O_PLUS, S_PLUS
 from freedf.errors import NotInPoset, SingularGram, SizeMismatch, TableTooLarge
 from freedf.partitions import one_block, parse_partition, singletons
+from freedf.rationals import format_rational
 from freedf.weingarten import (
     _WG_CACHE,
     _ff_inverse,
@@ -22,6 +23,7 @@ from freedf.weingarten import (
 ALL_CATS = (O_PLUS, S_PLUS, H_PLUS, B_PLUS)
 # the package re-exports the function weingarten under the module's name
 wg_module = importlib.import_module("freedf.weingarten")
+rationals = importlib.import_module("freedf.rationals")
 
 
 def naive_product_is_identity(g, wg):
@@ -271,8 +273,17 @@ def test_disk_cache(tmp_path, monkeypatch):
     path = tmp_path / "s+_3_4.json"
     assert path.exists()
     _WG_CACHE.clear()
+    parsed = []
+    real_parse = rationals.parse_rational
+    monkeypatch.setattr(rationals, "parse_rational", lambda v: parsed.append(v) or real_parse(v))
     second = weingarten(S_PLUS, 3, 4)
+    monkeypatch.setattr(rationals, "parse_rational", real_parse)
     assert second.entries == first.entries and second.basis == first.basis
+    # each distinct entry string of the file is parsed once, and equal ones share a Fraction
+    texts = [format_rational(v) for row in first.entries for v in row]
+    assert sorted(parsed) == sorted(set(texts)) and len(parsed) < len(texts)
+    flat = [v for row in second.entries for v in row]
+    assert all(flat[texts.index(t)] is v for t, v in zip(texts, flat))
     _WG_CACHE.clear()
     # a corrupt cache entry is ignored and rebuilt
     path.write_text("not json")
