@@ -130,6 +130,7 @@ def incidence(cat, m, n):
 
     Each RGS rho of sigma's blocks with at most n blocks gives the already
     canonical tau = (rho[l] for l in sigma); tau without sigma is absent.
+    At m = 0 the empty partition lies below itself.
     """
     got = _INCIDENCE.get((cat, m, n))
     if got is None:
@@ -138,7 +139,7 @@ def incidence(cat, m, n):
         for a, sigma in enumerate(enumerate_category(cat, m)):
             k = num_blocks(sigma)
             if k not in rhos:
-                rhos[k] = [rho for rho in enumerate_partitions(k) if num_blocks(rho) <= n]
+                rhos[k] = [rho for rho in enumerate_partitions(k) if num_blocks(rho) <= n] if k else [()]
             for rho in rhos[k]:
                 got.setdefault(tuple(map(rho.__getitem__, sigma)), []).append(a)
         _INCIDENCE[(cat, m, n)] = got

@@ -43,7 +43,7 @@ from .partitions import (
     relabel,
     render_index_tuple,
 )
-from .rationals import format_rational, rational_reader
+from .rationals import rational_reader, rational_writer
 
 DENSE_GUARD = 10 ** 7
 
@@ -188,13 +188,14 @@ class Table:
 
     def to_json(self):
         vals = {}
+        write = rational_writer()
         for m in range(1, self.max_order + 1):
             layer = self.values[m]
             if self.repr == DENSE:
                 keys = product_keys(self.n, m)  # product order is sorted order
             else:
                 keys = ((key, render_index_tuple(key)) for key in sorted(layer))
-            vals[str(m)] = {text: format_rational(layer[key]) for key, text in keys}
+            vals[str(m)] = {text: write(layer[key]) for key, text in keys}
         return {
             "n": self.n,
             "max_order": self.max_order,

@@ -138,7 +138,8 @@ def _averaged(mt, cat, m, nums):
         if v:
             for a in below.get(tau, ()):
                 S[a] += v
-    D, num = weingarten(cat, m, n).integer_form
+    wg = weingarten(cat, m, n)
+    D, num = wg.D, wg.num
     support = [(b, v) for b, v in enumerate(S) if v]
     return basis, [sum(row[b] * v for b, v in support) for row in num], D
 

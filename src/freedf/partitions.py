@@ -110,11 +110,16 @@ def parse_index_tuple(text, n=None):
         t = t.strip()
         if not t.lstrip("-").isdigit():
             raise SchemaError("index entry is not an integer: %r" % t)
-        v = int(t)
+        entries += check_indices((int(t),), n)
+    return tuple(entries)
+
+
+def check_indices(entries, n=None):
+    """entries, or SchemaError at the first one outside [1, n]."""
+    for v in entries:
         if v < 1 or (n is not None and v > n):
             raise SchemaError("index entry out of range [1,%s]: %d" % (n if n else "inf", v))
-        entries.append(v)
-    return tuple(entries)
+    return entries
 
 
 def singletons(m):

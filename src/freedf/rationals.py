@@ -58,3 +58,17 @@ def rational_reader():
         return got
 
     return read
+
+
+def rational_writer(den=1):
+    """format_rational of value / den, each distinct value formatted once."""
+    memo = {}
+
+    def write(value):
+        key = value.numerator, value.denominator  # hashing a Fraction costs more than formatting it
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = format_rational(Fraction(value, den))
+        return got
+
+    return write

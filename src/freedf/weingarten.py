@@ -1,12 +1,14 @@
 """Gram and Weingarten matrices, Haar moments, scaled Weingarten values.
 
-The Gram matrix over C(m) has entries n^#(pi v sigma). Its exact inverse
+Every matrix over the C(m) basis is held in one form: integers num over
+their least common denominator D (D = 1 for the Gram matrix, entries
+n^#(pi v sigma)); entries is a read-only Fraction view. The exact inverse
 (the Weingarten matrix) is computed output-sensitively: Gauss-Jordan
 elimination modulo word-size primes, CRT and rational reconstruction
-give a candidate integer numerator matrix over a common denominator, and
-the candidate is accepted only after the exact integer check
+give a candidate (D, num), accepted only after the exact integer check
 Gram * num = D * I. The reduced denominators are far smaller than the
-Gram determinant, so one or two primes usually suffice.
+Gram determinant, so one or two primes usually suffice. The disk cache
+keeps the "p/q" text of matrix_json and is scaled to (D, num) on load.
 
 Elimination runs without pivoting. Gram matrices are positive
 semidefinite, so a zero leading principal minor occurs precisely when the
@@ -19,38 +21,39 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from functools import cached_property
+from itertools import chain
+from math import gcd, isqrt, prod
 
 from .errors import FreedfError, NotInPoset, SingularGram, SizeMismatch, TableTooLarge
-from .categories import c_leq, enumerate_category
-from .cumulants import DENSE_GUARD
-from .partitions import Partition, join_num_blocks, parse_partition
-from .rationals import format_rational, rational_reader
+from .categories import enumerate_category, incidence
+from .cumulants import DENSE_GUARD, scale_into
+from .partitions import Partition, check_indices, join_num_blocks, parse_partition, relabel
+from .rationals import rational_reader, rational_writer
 
 CACHE_ENV = "FREEDF_CACHE_DIR"
 
 
 class GramTable:
-    """A matrix over the C(m) basis; entries is the public Fraction view."""
+    """A matrix over the C(m) basis: integers num over their least common
+    denominator D. entries is the read-only view num / D, formed on first
+    use: ints when D is 1, else one Fraction per distinct numerator."""
 
-    def __init__(self, cat, m, n, basis, entries):
+    def __init__(self, cat, m, n, basis, D, num):
         self.cat = cat
         self.m = m
         self.n = n
         self.basis = tuple(basis)
-        self.entries = tuple(tuple(row) for row in entries)
-        self._integer_form = None
+        self.D = D
+        self.num = num
 
-    @property
-    def integer_form(self):
-        """(D, num) with entries = num / D and D the least common denominator.
-
-        Exact sums over the matrix need no Fraction arithmetic in this
-        form. It is formed on first use.
-        """
-        if self._integer_form is None:
-            self._integer_form = _scale(self.entries)
-        return self._integer_form
+    @cached_property
+    def entries(self):
+        rows, D = self.num, self.D
+        if D != 1:
+            view = {x: Fraction(x, D) for x in set(chain.from_iterable(rows))}
+            rows = [map(view.__getitem__, row) for row in rows]
+        return tuple(map(tuple, rows))
 
     def index(self, p):
         try:
@@ -93,8 +96,7 @@ def gram(cat, m, n):
     _check_size(cat, m)
     basis, E = _join_exponents(cat, m)
     powers = [n ** k for k in range(m + 1)]
-    entries = [[powers[e] for e in row] for row in E]
-    return GramTable(cat, m, n, basis, entries)
+    return GramTable(cat, m, n, basis, 1, [[powers[e] for e in row] for row in E])
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -279,18 +281,10 @@ def weingarten(cat, m, n):
     got = _load_cached(cat, m, n)
     if got is None:
         g = gram(cat, m, n)
-        size = len(g.basis)
-        if size == 0:
-            got = WeingartenTable(cat, m, n, (), ())
-        else:
-            res = _ff_inverse(g.entries)
-            if res is None:
-                raise SingularGram(cat, m, n)
-            den, num = res
-            got = WeingartenTable(
-                cat, m, n, g.basis,
-                [[Fraction(num[a][b], den) for b in range(size)] for a in range(size)],
-            )
+        res = _ff_inverse(g.num)
+        if res is None:
+            raise SingularGram(cat, m, n)
+        got = WeingartenTable(cat, m, n, g.basis, *res)
         _store_cached(got)
     _WG_CACHE[(cat, m, n)] = got
     return got
@@ -298,17 +292,16 @@ def weingarten(cat, m, n):
 
 def _cache_path(cat, m, n):
     root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    return os.path.join(root, "%s_%d_%d.json" % (cat.value, m, n))
+    return os.path.join(root, "%s_%d_%d.json" % (cat.value, m, n)) if root else None
 
 
 def _load_cached(cat, m, n):
     """The cached W(cat, m, n), or None when the entry is absent or invalid.
 
     An entry is used only when its header matches the request, its basis
-    is C(m) in basis order and Gram * W = I holds exactly; otherwise it
-    is recomputed and overwritten.
+    is C(m) in basis order, its entries form a square matrix over that
+    basis and Gram * W = I holds exactly; otherwise it is recomputed and
+    overwritten. Each distinct entry text is parsed and scaled once.
     """
     path = _cache_path(cat, m, n)
     if not path or not os.path.exists(path):
@@ -320,12 +313,15 @@ def _load_cached(cat, m, n):
             return None
         basis = tuple(parse_partition(s) if s else Partition() for s in doc["basis"])
         read = rational_reader()
-        entries = [[read(v) for v in row] for row in doc["entries"]]
+        ints = {}
+        D = scale_into(ints, {v: read(v) for row in doc["entries"] for v in row})
+        num = [[ints[v] for v in row] for row in doc["entries"]]
     except (OSError, ValueError, KeyError, TypeError, FreedfError):
         return None  # unreadable cache entries are rebuilt
-    if basis != tuple(enumerate_category(cat, m)) or not _is_inverse(gram(cat, m, n).entries, entries):
+    square = {len(num), *map(len, num)} == {len(basis)}
+    if basis != tuple(enumerate_category(cat, m)) or not square or not _times_is_scalar(gram(cat, m, n).num, num, D):
         return None
-    return WeingartenTable(cat, m, n, basis, entries)
+    return WeingartenTable(cat, m, n, basis, D, num)
 
 
 def _store_cached(wg):
@@ -334,13 +330,12 @@ def _store_cached(wg):
     if not path:
         return
     folder = os.path.dirname(path) or "."
-    doc = matrix_json(wg)
     try:
         os.makedirs(folder, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
+                json.dump(matrix_json(wg), fh)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -351,37 +346,34 @@ def _store_cached(wg):
 
 def matrix_json(table):
     """The CLI/disk JSON form of a Gram or Weingarten table."""
+    write = rational_writer(table.D)
     return {
         "category": table.cat.value,
         "m": table.m,
         "n": table.n,
         "basis": [str(p) for p in table.basis],
-        "entries": [[format_rational(v) for v in row] for row in table.entries],
+        "entries": [[write(x) for x in row] for row in table.num],
     }
 
 
 def haar_moment(cat, n, i, j):
-    """h(u_{i1 j1} ... u_{im jm}) via the Weingarten expansion."""
+    """h(u_{i1 j1} ... u_{im jm}) via the Weingarten expansion: the numerators
+    of Wg(sigma, pi) over sigma <= ker i, pi <= ker j (down-sets read from the
+    incidence index) are summed as integers and divided by D once."""
     if len(i) != len(j):
         raise SizeMismatch("index tuples differ in length: %d vs %d" % (len(i), len(j)))
-    m = len(i)
-    wg = weingarten(cat, m, n)
-    if not wg.basis:
-        return Fraction(0)
-    rows = [wg.index(p) for p in c_leq(cat, i)]
-    cols = [wg.index(p) for p in c_leq(cat, j)]
-    total = Fraction(0)
-    for a in rows:
-        row = wg.entries[a]
-        for b in cols:
-            total += row[b]
-    return total
+    check_indices(chain(i, j), n)
+    wg = weingarten(cat, len(i), n)
+    below = incidence(cat, len(i), n)
+    cols = below.get(relabel(j), ())
+    total = sum(wg.num[a][b] for a in below.get(relabel(i), ()) for b in cols)
+    return Fraction(total, wg.D)
 
 
 def wg_scaled(cat, k, n, p, q):
     """Wg_{2k,n}(p, q) * n^k, exactly."""
     wg = weingarten(cat, 2 * k, n)
-    return wg.entries[wg.index(p)][wg.index(q)] * n ** k
+    return Fraction(wg.num[wg.index(p)][wg.index(q)] * n ** k, wg.D)
 
 
 def verify_inverse(cat, m, n):
@@ -391,20 +383,4 @@ def verify_inverse(cat, m, n):
     the Gram rows grouped by exponent (see _times_is_scalar).
     """
     wg = weingarten(cat, m, n)
-    return _is_inverse(gram(cat, m, n).entries, wg.entries)
-
-
-def _is_inverse(A, W):
-    """Exact test of A * W == I for rational W of the same size as A."""
-    if len(W) != len(A) or any(len(row) != len(A) for row in W):
-        return False
-    if not W:
-        return True
-    den, num = _scale(W)
-    return _times_is_scalar(A, num, den)
-
-
-def _scale(W):
-    """(den, num) with W = num / den, den the least common denominator."""
-    den = lcm(*(v.denominator for row in W for v in row))
-    return den, [[v.numerator * (den // v.denominator) for v in row] for row in W]
+    return _times_is_scalar(gram(cat, m, n).num, wg.num, wg.D)

@@ -486,3 +486,16 @@ def test_dense_reader_parses_each_value_string_once_per_layer(monkeypatch):
         for text, v in layers[str(m)].items():
             assert shared.setdefault(v, t.value(parse_index_tuple(text))) is t.value(parse_index_tuple(text))
     assert t.to_json() == doc
+
+
+def test_dense_writer_formats_each_value_once(monkeypatch):
+    t = generate_invariant_model(S_PLUS, 4, 4, seed=3).to_dense()
+    layers = {m: t.values[m] for m in range(1, 5)}
+    want = {str(m): {render_index_tuple(i): rationals.format_rational(v) for i, v in sorted(layer.items())}
+            for m, layer in layers.items()}
+    calls = []
+    real_format = rationals.format_rational
+    monkeypatch.setattr(rationals, "format_rational", lambda v: calls.append(v) or real_format(v))
+    doc = t.to_json()
+    assert json.dumps(doc["values"]) == json.dumps(want)
+    assert len(calls) == len(set().union(*(layer.values() for layer in layers.values())))

@@ -60,3 +60,19 @@ def test_rational_reader_parses_each_string_once(monkeypatch):
         with pytest.raises(BadRational):
             read(bad)
     assert seen[-3:] == [True, "1/0", "1/0"]
+
+
+def test_rational_writer_formats_each_value_once(monkeypatch):
+    import freedf.rationals as rationals
+
+    seen = []
+    monkeypatch.setattr(rationals, "format_rational", lambda v: seen.append(v) or format_rational(v))
+    write = rationals.rational_writer()
+    assert [write(v) for v in (Fraction(1, 2), Fraction(2, 4), 3, Fraction(3), Fraction(-1, 2))] == [
+        "1/2", "1/2", "3/1", "3/1", "-1/2",
+    ]
+    assert seen == [Fraction(1, 2), 3, Fraction(-1, 2)]
+    # with a denominator, integer numerators are written over it, reduced
+    over = rationals.rational_writer(24)
+    assert [over(x) for x in (1, -5, 12, 1, 0)] == ["1/24", "-5/24", "1/2", "1/24", "0/1"]
+    assert len(seen) == 7

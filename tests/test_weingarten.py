@@ -1,12 +1,13 @@
 import importlib
+import json
 import random
 
 import pytest
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from freedf.categories import B_PLUS, H_PLUS, O_PLUS, S_PLUS
-from freedf.errors import NotInPoset, SingularGram, SizeMismatch, TableTooLarge
+from freedf.errors import NotInPoset, SchemaError, SingularGram, SizeMismatch, TableTooLarge
 from freedf.partitions import one_block, parse_partition, singletons
 from freedf.rationals import format_rational
 from freedf.weingarten import (
@@ -217,24 +218,39 @@ def test_haar_examples():
     assert haar_moment(O_PLUS, 5, (1, 1), (1, 1)) == Fraction(1, 5)
     assert haar_moment(O_PLUS, 5, (1, 1), (1, 2)) == 0
     assert haar_moment(O_PLUS, 5, (1, 1, 1), (1, 1, 1)) == 0
+    # the empty product has Haar value 1
+    for cat in ALL_CATS:
+        assert haar_moment(cat, 3, (), ()) == 1
     with pytest.raises(SizeMismatch):
         haar_moment(O_PLUS, 5, (1, 1), (1, 1, 1))
 
 
 def test_haar_brute_force_m4():
-    # h(u_i1j1 ... u_i4j4) = sum over pairs of pairings of Wg entries
-    wg = weingarten(O_PLUS, 4, 4)
+    # h(u_i1j1 ... u_imjm) = sum of Wg(p, q) over p <= ker i, q <= ker j, by leq scans
     from freedf.partitions import kernel, leq
 
-    basis = list(wg.basis)
-    for i in ((1, 1, 2, 2), (1, 2, 2, 1), (1, 2, 1, 2), (3, 3, 3, 3)):
-        for j in ((1, 1, 1, 1), (1, 2, 2, 1)):
-            want = Fraction(0)
-            for a, p in enumerate(basis):
-                for b, q in enumerate(basis):
-                    if leq(p, kernel(i)) and leq(q, kernel(j)):
-                        want += wg.entries[a][b]
-            assert haar_moment(O_PLUS, 4, i, j) == want
+    rng = random.Random(4)
+    for cat in ALL_CATS:
+        for m in range(1, 7):
+            for n in (4, 5, 7):
+                wg = weingarten(cat, m, n)
+                # random tuples, and labels that do not start at 1
+                tuples = [tuple(rng.randint(1, n) for _ in range(m)) for _ in range(4)]
+                tuples += [(n,) * m, ((n, 3, n - 1, 3, 2) * 2)[:m]]
+                for i in tuples:
+                    rows = [a for a, p in enumerate(wg.basis) if leq(p, kernel(i))]
+                    for j in tuples[2:]:
+                        cols = [b for b, q in enumerate(wg.basis) if leq(q, kernel(j))]
+                        want = sum((wg.entries[a][b] for a in rows for b in cols), Fraction(0))
+                        assert haar_moment(cat, n, i, j) == want, (cat, m, n, i, j)
+
+
+def test_haar_refuses_out_of_range_indices():
+    for i, j in (((7, 7), (9, 9)), ((1, 1), (1, 4)), ((0, 1), (1, 1)), ((1, -2), (1, 1))):
+        with pytest.raises(SchemaError) as exc:
+            haar_moment(O_PLUS, 3, i, j)
+        assert str(exc.value).startswith("index entry out of range [1,3]")
+    assert haar_moment(O_PLUS, 3, (3, 3), (2, 2)) == Fraction(1, 3)
 
 
 def test_haar_row_sums_are_orthogonality():
@@ -290,6 +306,58 @@ def test_disk_cache(tmp_path, monkeypatch):
     third = weingarten(S_PLUS, 3, 4)
     assert third.entries == first.entries
     _WG_CACHE.clear()
+
+
+def test_loaded_table_holds_the_computed_integer_form(tmp_path, monkeypatch):
+    monkeypatch.setenv("FREEDF_CACHE_DIR", str(tmp_path))
+    for cat, m, n in ((S_PLUS, 4, 5), (O_PLUS, 6, 3), (B_PLUS, 5, 4), (O_PLUS, 3, 4)):
+        _WG_CACHE.clear()
+        computed = weingarten(cat, m, n)
+        _WG_CACHE.clear()
+        loaded = weingarten(cat, m, n)
+        assert loaded is not computed
+        assert (loaded.D, loaded.num) == (computed.D, computed.num), (cat, m, n)
+        assert gcd(loaded.D, *(x for row in loaded.num for x in row)) == 1
+        assert loaded.entries == computed.entries
+    _WG_CACHE.clear()
+
+
+def test_cache_file_of_the_wrong_shape_is_rebuilt(tmp_path, monkeypatch):
+    # the exact product check alone would accept a trailing row or column
+    monkeypatch.setenv("FREEDF_CACHE_DIR", str(tmp_path))
+    _WG_CACHE.clear()
+    want = weingarten(S_PLUS, 3, 4)
+    path = tmp_path / "s+_3_4.json"
+    good = json.loads(path.read_text())
+    size = len(good["basis"])
+    for entries in (
+        good["entries"] + [["0/1"] * size],
+        [row + ["0/1"] for row in good["entries"]],
+        good["entries"][:-1],
+    ):
+        path.write_text(json.dumps(dict(good, entries=entries)))
+        _WG_CACHE.clear()
+        got = weingarten(S_PLUS, 3, 4)
+        assert (got.D, got.num) == (want.D, want.num)
+        assert json.loads(path.read_text()) == good
+    _WG_CACHE.clear()
+
+
+def test_tables_are_integers_over_one_denominator(monkeypatch):
+    g = gram(S_PLUS, 4, 3)
+    assert g.D == 1 and all(type(x) is int for row in g.entries for x in row)
+    wg = weingarten(S_PLUS, 4, 3)
+    assert wg.entries is wg.entries
+    flat = [x for row in wg.num for x in row]
+    shared = {}
+    for x, v in zip(flat, (v for row in wg.entries for v in row)):
+        assert v == Fraction(x, wg.D) and shared.setdefault(x, v) is v
+    # matrix_json formats each distinct value once
+    calls = []
+    monkeypatch.setattr(rationals, "format_rational", lambda v: calls.append(v) or format_rational(v))
+    doc = matrix_json(wg)
+    assert len(calls) == len(set(flat))
+    assert doc["entries"] == [[format_rational(v) for v in row] for row in wg.entries]
 
 
 def test_weingarten_process_cache():
