@@ -2,8 +2,8 @@
 
 BACKEND is "gmpy2" when gmpy2 is importable and "python" otherwise.
 Benchmarks record it with their results. The exact Weingarten inverse
-runs on word-size modular arithmetic and plain Python ints, so no kernel
-depends on it.
+runs on plain Python ints (rows packed into big integers, see
+weingarten), so no kernel depends on it.
 """
 
 try:

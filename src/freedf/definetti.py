@@ -109,22 +109,22 @@ def averaged_coefficients(mt, cat, m):
     phi~(tau), the falling factorial perm(n, #tau) counting the tuples in
     the class.
     """
-    nums = {}
-    L = scale_into(nums, mt.values[m])
-    basis, c, D = _averaged(mt, cat, m, nums)
-    return {sigma: Fraction(v, D * L) for sigma, v in zip(basis, c)}
+    return _averaged(mt, cat, m)[0]
 
 
-def _averaged(mt, cat, m, nums):
-    """(basis, c, D): c^avg = c / (D * L) for the layer nums over L.
+def _averaged(mt, cat, m):
+    """(coefficients, nums, c, D, L) for Weingarten averaging at order m.
 
     nums holds the order-m entries as integers over their common
     denominator L, and (D, num) is the integer form of Wg, so each
-    coefficient is one integer dot product.
+    coefficient is one integer dot product c_sigma, and c^avg_sigma =
+    c_sigma / (D * L) is coefficients[sigma].
     """
+    nums = {}
+    L = scale_into(nums, mt.values[m])
     basis = enumerate_category(cat, m)
     if not basis:
-        return basis, [], 1
+        return {}, nums, [], 1, L
     n = mt.n
     if mt.repr == KERNEL:
         sums = {tau: perm(n, num_blocks(tau)) * v for tau, v in nums.items()}
@@ -141,7 +141,8 @@ def _averaged(mt, cat, m, nums):
     wg = weingarten(cat, m, n)
     D, num = wg.D, wg.num
     support = [(b, v) for b, v in enumerate(S) if v]
-    return basis, [sum(row[b] * v for b, v in support) for row in num], D
+    c = [sum(row[b] * v for b, v in support) for row in num]
+    return {sigma: Fraction(v, D * L) for sigma, v in zip(basis, c)}, nums, c, D, L
 
 
 def check_invariance(mt, cat, up_to=None, tolerance=None):
@@ -176,10 +177,7 @@ def check_invariance(mt, cat, up_to=None, tolerance=None):
             except NotInvariant:
                 pass  # averaging finds the same coefficients and the witnesses
         layer = mt.values[m]
-        nums = {}
-        L = scale_into(nums, layer)
-        basis, c, D = _averaged(mt, cat, m, nums)
-        coefficients[m] = {sigma: Fraction(v, D * L) for sigma, v in zip(basis, c)}
+        coefficients[m], nums, c, D, L = _averaged(mt, cat, m)
         # an entry a = A / L equals the prediction P / (D * L) iff A * D == P
         below = incidence(cat, m, n)
         predicted = {}

@@ -10,6 +10,23 @@ Gram * num = D * I. The reduced denominators are far smaller than the
 Gram determinant, so one or two primes usually suffice. The disk cache
 keeps the "p/q" text of matrix_json and is scaled to (D, num) on load.
 
+Both kernels hold each matrix row as one Python integer, the entries in
+fixed-width slots (slot j is bits j*w .. j*w+w-1), so that a row
+operation is one big-integer multiply-add done in C. In the elimination
+mod p the slots are nonnegative: a row starts reduced (< p), and each
+update ri + (p - f) * upd adds less than p^2 to a slot, where upd is the
+normalized pivot row (< p) with 1 added in slot k so that column k gets
+-f * inv without being cleared. A row is reduced only when it becomes the
+pivot and once at the end, so it takes at most N updates in between and
+its slots stay below p + N * p^2 < 2^w when w >= 2 bits(p) + bits(N) + 1;
+no slot ever carries into the next. The exact check packs the rows of num
+with signed slots of width w >= bits((N max|A| + 1) max|num| + |D|) + 2,
+which holds every entry of num and of A * num - D * I, so a row of that
+difference is sum_j d_j 2^(jw) with every |d_j| < 2^(w-2).
+Such a sum is zero only when every d_j is: the lowest nonzero d_j would
+have to be divisible by 2^w. Comparing the product row with D << a*w as
+integers is therefore the exact entrywise test, not a probabilistic one.
+
 Elimination runs without pivoting. Gram matrices are positive
 semidefinite, so a zero leading principal minor occurs precisely when the
 matrix is singular; SingularGram is raised only once the primes at which
@@ -138,28 +155,44 @@ def _primes():
         k += 1
 
 
+def _pack(row, B):
+    """The nonnegative entries of row, each below 2^(8B), as one integer."""
+    return int.from_bytes(b"".join([x.to_bytes(B, "little") for x in row]), "little")
+
+
+def _unpack(r, size, B):
+    bs = r.to_bytes(size * B, "little")
+    return [int.from_bytes(bs[j:j + B], "little") for j in range(0, size * B, B)]
+
+
 def _inverse_mod(A, p):
     """In-place Gauss-Jordan inverse of A modulo p, without pivoting.
 
     Returns (size, inverse) or, when the pivot at step k vanishes mod p,
     (k, None): then p divides the leading minor of order k+1 and none of
-    the smaller ones.
+    the smaller ones. Each row is one packed integer (see the module
+    docstring); a row is reduced mod p only as the pivot and at the end.
+    Slot k of the update row upd holds inv + 1, so ri + (p - f) * upd
+    leaves -f * inv in column k without clearing it first.
     """
-    a = [[x % p for x in row] for row in A]
-    for k in range(len(a)):
-        rk = a[k]
-        piv = rk[k]
+    size = len(A)
+    B = (2 * p.bit_length() + size.bit_length() + 8) // 8
+    w, mask = 8 * B, (1 << 8 * B) - 1
+    a = [_pack([x % p for x in row], B) for row in A]
+    for k in range(size):
+        rk = _unpack(a[k], size, B)
+        piv = rk[k] % p
         if not piv:
             return k, None
         inv = pow(piv, -1, p)
         rk[k] = 1
-        rk = a[k] = [x * inv % p for x in rk]
+        a[k] = _pack([x * inv % p for x in rk], B)
+        upd, kw = a[k] + (1 << k * w), k * w
         for i, ri in enumerate(a):
-            f = ri[k]
+            f = (ri >> kw & mask) % p
             if f and i != k:
-                ri[k] = 0
-                a[i] = [(x - f * y) % p for x, y in zip(ri, rk)]
-    return len(a), a
+                a[i] = ri + (p - f) * upd
+    return size, [[x % p for x in _unpack(r, size, B)] for r in a]
 
 
 def _hadamard_sq(A, k):
@@ -212,19 +245,23 @@ def _reconstruct(X, P):
 def _times_is_scalar(A, num, D):
     """Exact test of A * num == D * I over the integers.
 
-    Each row of A is grouped by value, so a Gram row (values n^e) costs
-    m+1 column sums of num and m+1 scalings instead of a full dot
-    product per entry.
+    Each row of num is packed into one integer, signed slots of a width
+    that holds every entry of the product (see the module docstring), so
+    a product row is a sum of packed rows and is compared with D in slot
+    a as one integer. Each row of A is grouped by value, so a Gram row
+    (values n^e) costs m+1 packed-row sums and m+1 scalings.
     """
+    a_max, num_max = (max(map(abs, chain.from_iterable(M)), default=0) for M in (A, num))
+    B = (((len(A) * a_max + 1) * num_max + abs(D)).bit_length() + 9) // 8
+    w, bias = 8 * B, 1 << 8 * B - 1
+    offset = _pack([bias] * len(A), B)
+    rows = [_pack([x + bias for x in row], B) - offset for row in num]
     for a, row in enumerate(A):
         groups = {}
         for c, v in enumerate(row):
             if v:
-                groups.setdefault(v, []).append(num[c])
-        acc = [0] * len(row)
-        for v, rows in groups.items():
-            acc = [s + v * t for s, t in zip(acc, map(sum, zip(*rows)))]
-        if acc[a] != D or any(acc[:a]) or any(acc[a + 1:]):
+                groups[v] = groups.get(v, 0) + rows[c]
+        if sum(v * r for v, r in groups.items()) != D << a * w:
             return False
     return True
 

@@ -1,10 +1,12 @@
 import importlib
 import json
 import random
+from itertools import chain, islice
 
 import pytest
 from fractions import Fraction
-from math import gcd, lcm
+from hypothesis import given, settings, strategies as st
+from math import comb, gcd, lcm, prod
 
 from freedf.categories import B_PLUS, H_PLUS, O_PLUS, S_PLUS
 from freedf.errors import NotInPoset, SchemaError, SingularGram, SizeMismatch, TableTooLarge
@@ -13,6 +15,9 @@ from freedf.rationals import format_rational
 from freedf.weingarten import (
     _WG_CACHE,
     _ff_inverse,
+    _inverse_mod,
+    _primes,
+    _times_is_scalar,
     gram,
     haar_moment,
     matrix_json,
@@ -379,3 +384,208 @@ def test_size_guard_raises_before_allocating(monkeypatch):
     assert wg_module._EXP_CACHE == {} and wg_module._WG_CACHE == {}
     monkeypatch.setattr(wg_module, "DENSE_GUARD", 132 * 132)
     assert len(gram(S_PLUS, 6, 4).basis) == 132
+
+
+# The list-based kernels that the packed-row _inverse_mod and
+# _times_is_scalar replaced, kept as references for them.
+
+
+def reference_inverse_mod(A, p):
+    """Gauss-Jordan modulo p without pivoting, one Python op per entry."""
+    a = [[x % p for x in row] for row in A]
+    for k in range(len(a)):
+        rk = a[k]
+        piv = rk[k]
+        if not piv:
+            return k, None
+        inv = pow(piv, -1, p)
+        rk[k] = 1
+        rk = a[k] = [x * inv % p for x in rk]
+        for i, ri in enumerate(a):
+            f = ri[k]
+            if f and i != k:
+                ri[k] = 0
+                a[i] = [(x - f * y) % p for x, y in zip(ri, rk)]
+    return len(a), a
+
+
+def reference_times_is_scalar(A, num, D):
+    """A * num == D * I, one column-sum vector per distinct value of a row of A."""
+    for a, row in enumerate(A):
+        groups = {}
+        for c, v in enumerate(row):
+            if v:
+                groups.setdefault(v, []).append(num[c])
+        acc = [0] * len(row)
+        for v, rows in groups.items():
+            acc = [s + v * t for s, t in zip(acc, map(sum, zip(*rows)))]
+        if acc[a] != D or any(acc[:a]) or any(acc[a + 1:]):
+            return False
+    return True
+
+
+BIG_PRIMES = list(islice(_primes(), 2))
+TEST_PRIMES = BIG_PRIMES + [2, 3, 5, 65537]
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square, in general non-symmetric integer matrices with entries up
+    to 2^90 in size and some exact multiples of the prime."""
+    p = draw(st.sampled_from(TEST_PRIMES))
+    size = draw(st.integers(min_value=0, max_value=12))
+    entry = st.one_of(
+        st.integers(min_value=-(2 ** 90), max_value=2 ** 90),
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=-(2 ** 30), max_value=2 ** 30).map(lambda t: t * p),
+    )
+    rows = st.lists(entry, min_size=size, max_size=size)
+    return p, draw(st.lists(rows, min_size=size, max_size=size))
+
+
+@settings(deadline=None, max_examples=300)
+@given(integer_matrices())
+def test_packed_inverse_mod_matches_reference(case):
+    p, A = case
+    assert _inverse_mod(A, p) == reference_inverse_mod(A, p)
+
+
+@settings(deadline=None, max_examples=200)
+@given(integer_matrices(), st.data())
+def test_packed_inverse_mod_stops_at_the_same_step(case, data):
+    # row k restricted to columns 0..k is a combination of the rows above
+    # it, so the leading minor of order k+1 is zero and elimination stops
+    # at step k at the latest
+    p, A = case
+    if not A:
+        return
+    k = data.draw(st.integers(min_value=0, max_value=len(A) - 1))
+    coef = data.draw(st.lists(st.integers(min_value=-(2 ** 40), max_value=2 ** 40), min_size=k, max_size=k))
+    for j in range(k + 1):
+        A[k][j] = sum(c * A[i][j] for i, c in zip(range(k), coef))
+    step, inv = _inverse_mod(A, p)
+    assert inv is None and step <= k
+    assert (step, inv) == reference_inverse_mod(A, p)
+
+
+def test_packed_inverse_mod_on_gram_matrices():
+    # N = 132 for both; the 62-bit primes complete, p = 2 stops early
+    for cat, m, n in ((S_PLUS, 6, 4), (O_PLUS, 12, 3)):
+        A = gram(cat, m, n).num
+        assert len(A) == 132
+        for p in TEST_PRIMES:
+            got = _inverse_mod(A, p)
+            assert got == reference_inverse_mod(A, p), (cat, p)
+            assert got[1] is not None or p not in BIG_PRIMES, (cat, p)
+        assert _inverse_mod(A, 2)[1] is None
+
+
+def _inverse_cases():
+    rng = random.Random(9)
+    for size, bits in ((1, 3), (2, 90), (3, 40), (5, 90), (8, 20), (12, 90)):
+        A = [[rng.randint(-(2 ** bits), 2 ** bits) for _ in range(size)] for _ in range(size)]
+        got = _ff_inverse(A)
+        if got is not None:
+            yield A, got
+    for cat, m, n in ((S_PLUS, 6, 4), (O_PLUS, 12, 3), (B_PLUS, 5, 3), (H_PLUS, 4, 2)):
+        yield gram(cat, m, n).num, _ff_inverse(gram(cat, m, n).num)
+
+
+def corruptions(A, num, D, rng):
+    """(D, num) pairs that differ from a true inverse (D, num) of A in one way
+    each; A is nonsingular, so every one of them must be rejected."""
+    size = len(num)
+    r, c = rng.randrange(size), rng.randrange(size)
+
+    def changed(*edits):
+        out = [list(row) for row in num]
+        for rr, cc, dv in edits:
+            out[rr][cc] += dv
+        return out
+
+    for dv in (1, -1, 2 ** rng.randint(1, 200), -(2 ** rng.randint(1, 200))):
+        yield D, changed((r, c, dv))
+    for bad in (D + 1, D - 1, -D, 2 * D):
+        yield bad, num
+    # a carry between adjacent slots: +2^w in one entry, -1 in the next,
+    # for every slot width w near the one the true inverse packs into
+    top = max(map(abs, chain.from_iterable(A))) * max(map(abs, chain.from_iterable(num)))
+    bits = (size * top + D).bit_length()
+    for w in range(max(1, bits - 16), bits + 24):
+        rr, cc = rng.randrange(size), rng.randrange(size)
+        if cc + 1 < size:
+            yield D, changed((rr, cc, 2 ** w), (rr, cc + 1, -1))
+            yield D, changed((rr, cc, -(2 ** w)), (rr, cc + 1, 1))
+        if rr + 1 < size:
+            yield D, changed((rr, cc, 2 ** w), (rr + 1, cc, -1))
+
+
+def test_packed_check_accepts_inverses_and_rejects_corruptions():
+    rng = random.Random(11)
+    for A, (D, num) in _inverse_cases():
+        assert _times_is_scalar(A, num, D) and reference_times_is_scalar(A, num, D)
+        for bad_D, bad in corruptions(A, num, D, rng):
+            # the list-based reference is too slow to rerun on every Gram case
+            assert len(A) > 12 or not reference_times_is_scalar(A, bad, bad_D)
+            assert not _times_is_scalar(A, bad, bad_D), (len(A), bad_D)
+
+
+def test_packed_kernels_on_the_empty_basis():
+    # C(m) is empty for o+ and h+ at odd m
+    for p in TEST_PRIMES:
+        assert _inverse_mod([], p) == (0, [])
+    assert _times_is_scalar([], [], 1) and _ff_inverse([]) == (1, [])
+    for cat in (O_PLUS, H_PLUS):
+        assert gram(cat, 3, 4).num == [] and verify_inverse(cat, 3, 4)
+
+
+def chebyshev_u(j, n):
+    """U_j(n) with U_0 = 1, U_1 = n, U_{j+1} = n U_j - U_{j-1}."""
+    a, b = 1, n
+    for _ in range(j):
+        a, b = b, n * b - a
+    return a
+
+
+def meander_determinant(k, n):
+    """det G(o+, 2k, n) by Di Francesco's formula: the product over
+    j = 1..k of U_j(n)^a(k, j), with a(k, j) = C(2k, k-j) - 2 C(2k, k-j-1)
+    + C(2k, k-j-2)."""
+
+    def c(r):
+        return comb(2 * k, r) if r >= 0 else 0
+
+    return prod(chebyshev_u(j, n) ** (c(k - j) - 2 * c(k - j - 1) + c(k - j - 2)) for j in range(1, k + 1))
+
+
+def bareiss_determinant(A):
+    """Fraction-free elimination with row swaps; exact for singular A too."""
+    a = [list(row) for row in A]
+    sign, prev = 1, 1
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
+
+
+def test_meander_determinant_of_the_o_plus_gram_matrix():
+    assert [meander_determinant(2, n) for n in (1, 2, 3)] == [n * n * (n * n - 1) for n in (1, 2, 3)]
+    singular = set()
+    for k in range(1, 6):
+        for n in range(1, 6):
+            det = bareiss_determinant(gram(O_PLUS, 2 * k, n).num)
+            assert det == meander_determinant(k, n), (k, n)
+            if det == 0:
+                singular.add(("o+", 2 * k, n))
+    # U_2(1) = 0, so at n = 1 every k >= 2 is singular, as SINGULAR_SMALL
+    # records for m <= 6; no other (k, n) here is
+    assert {s for s in singular if s[1] <= 6} == {s for s in SINGULAR_SMALL if s[0] == "o+"}
+    assert singular == {("o+", 2 * k, 1) for k in range(2, 6)}
