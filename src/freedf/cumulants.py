@@ -15,15 +15,19 @@ phi on each gap of V, 2^(m-1) terms instead of |NC(m)|. Only the term
 V = [m] is of order m, so one recursion, run upward, serves both
 directions.
 
+Every dense layer of a Table is a dict in itertools.product order, the
+order to_json writes: Table() checks this in one streaming comparison
+and rebuilds a layer given in another order once, and the dense
+transform reads values by position, finding a cut word by its rank.
 Tables are read by matching keys, not parsing them: a key whose text is
-the one to_json writes at its position (dense layers in itertools.product
-order) is taken as is, and any other key is parsed and validated.
+the one to_json writes at its position is taken as is, and any other
+key is parsed and validated.
 """
 
 import itertools
 from fractions import Fraction
 from math import lcm, prod
-from operator import itemgetter
+from operator import add, eq, itemgetter, mul
 
 from .errors import (
     IncompleteTable,
@@ -35,6 +39,7 @@ from .errors import (
 )
 from .partitions import (
     Partition,
+    check_indices,
     enumerate_partitions,
     kernel,
     num_blocks,
@@ -125,9 +130,13 @@ class Table:
             want = n ** m if repr == DENSE else len(kernel_classes(m, n))
             if len(layer) != want:
                 raise IncompleteTable("order %d has %d entries, expected %d" % (m, len(layer), want))
+            if repr == DENSE and all(map(eq, layer, itertools.product(range(1, n + 1), repeat=m))):
+                continue  # n^m keys equal to the words of [n]^m, in product order
             stray = _stray_key(layer, m, n, repr)
             if stray is not None:
                 raise SchemaError("order %d carries an unexpected key %r" % (m, stray))
+            if repr == DENSE:
+                self.values[m] = {i: layer[i] for i in itertools.product(range(1, n + 1), repeat=m)}
 
     def value(self, i):
         """The entry at an index tuple (1-based values in [n])."""
@@ -137,9 +146,8 @@ class Table:
             return Fraction(1)
         if m > self.max_order:
             raise OrderExceeded("order %d beyond table max_order %d" % (m, self.max_order))
-        if self.repr == DENSE:
-            return self.values[m][i]
-        return self.values[m][kernel(i)]
+        check_indices(i, self.n)
+        return self.values[m][i if self.repr == DENSE else kernel(i)]
 
     def kernel_value(self, m, tau):
         """The value on the kernel class tau of order m."""
@@ -153,11 +161,8 @@ class Table:
         """
         if self.repr == KERNEL:
             return dict(self.values[m])
-        out = {}
-        rep = {}
-        kern = tuple_kernels(m, self.n)
-        for i, v in self.values[m].items():
-            tau = kern[i]
+        out, rep = {}, {}
+        for (i, v), tau in zip(self.values[m].items(), tuple_kernels(m, self.n).values()):
             if tau in out:
                 # entries read from one text are one object
                 if out[tau] is not v and out[tau] != v:
@@ -180,10 +185,7 @@ class Table:
         if self.repr == DENSE:
             return self
         _check_dense_size(self.n, self.max_order)
-        vals = {}
-        for m in range(1, self.max_order + 1):
-            layer = self.values[m]
-            vals[m] = {i: layer[tau] for i, tau in tuple_kernels(m, self.n).items()}
+        vals = {m: {i: self.values[m][tau] for i, tau in tuple_kernels(m, self.n).items()} for m in self.values}
         return type(self)(self.n, self.max_order, vals, repr=DENSE)
 
     def to_json(self):
@@ -393,15 +395,31 @@ def scale_into(nums, layer):
     return D
 
 
+def _ranks(positions, n, m):
+    """For each word of [n]^m in product order, the product-order rank of
+    the word cut out at the positions, built one position at a time."""
+    ranks = [0]
+    for j in range(m):
+        longer = [0] * (n * len(ranks))
+        if j in positions:
+            ranks = [r * n for r in ranks]
+        for d in range(n):  # the longer words with digit d at place j
+            longer[d::n] = map(add, ranks, itertools.repeat(d)) if j in positions else ranks
+        ranks = longer
+    return ranks
+
+
 def _transform(table, to_moments):
     """The first-block relation, order by order upward.
 
     With s = sum over first_block_shapes(m) of kappa(i|V) * prod phi(i|gap),
     which reads lower orders only, phi = kappa + s or kappa = phi - s.
     Both families are integer numerators over per-order denominators, so
-    each key sums integers and divides once.
+    each key sums integers and divides once. A dense order is a dict in
+    product order, read through the rank of a cut word (_ranks).
     """
-    src, dst = ({}, {}) if table.repr == DENSE else (_Words(), _Words())
+    dense, n = table.repr == DENSE, table.n
+    src, dst = ({}, {}) if dense else (_Words(), _Words())
     den_src, den_dst = {}, {}
     if to_moments:
         kappa, phi, den_kappa, den_phi, sign = src, dst, den_src, den_dst, 1
@@ -410,25 +428,36 @@ def _transform(table, to_moments):
     out = {}
     for m in range(1, table.max_order + 1):
         layer = table.values[m]
-        den_src[m] = scale_into(src, layer)
-        terms = [
-            (cut_v, cut_gaps, den_kappa[len(V)] * prod(den_phi[len(g)] for g in gaps))
-            for V, gaps, cut_v, cut_gaps in first_block_shapes(m)
-        ]
-        dstar = lcm(den_src[m], *(d for _, _, d in terms))
-        terms = [(cut_v, cut_gaps, sign * (dstar // d)) for cut_v, cut_gaps, d in terms]
+        den_src[m] = scale_into(src.setdefault(m, {}) if dense else src, layer)
+        shapes = first_block_shapes(m)
+        dens = [den_kappa[len(V)] * prod(den_phi[len(g)] for g in gaps) for V, gaps, _, _ in shapes]
+        dstar = lcm(den_src[m], *dens)
+        mults = [sign * (dstar // d) for d in dens]
         lead = dstar // den_src[m]
-        res = {}
-        for key in layer:
-            acc = src[key] * lead
-            for cut_v, cut_gaps, mult in terms:
-                k = kappa[cut_v(key)]
-                if k:
-                    term = mult * k
-                    for cut in cut_gaps:
-                        term *= phi[cut(key)]
-                    acc += term
-            res[key] = Fraction(acc, dstar)
-        den_dst[m] = scale_into(dst, res)
+        if dense:
+            acc = [v * lead for v in src[m].values()]
+            runs = {g: _ranks(g, n, m) for g in {g for _, gaps, _, _ in shapes for g in gaps}}
+            for (V, gaps, _, _), mult in zip(shapes, mults):
+                if any(kappa[len(V)].values()):
+                    term = map([mult * k for k in kappa[len(V)].values()].__getitem__, _ranks(V, n, m))
+                    for g in gaps:
+                        term = map(mul, term, map(list(phi[len(g)].values()).__getitem__, runs[g]))
+                    acc = list(map(add, acc, term))
+            fractions = {a: Fraction(a, dstar) for a in set(acc)}
+            res = dict(zip(layer, map(fractions.__getitem__, acc)))
+        else:
+            terms = [(cut_v, cut_gaps, mult) for (_, _, cut_v, cut_gaps), mult in zip(shapes, mults)]
+            res = {}
+            for key in layer:
+                acc = src[key] * lead
+                for cut_v, cut_gaps, mult in terms:
+                    k = kappa[cut_v(key)]
+                    if k:
+                        term = mult * k
+                        for cut in cut_gaps:
+                            term *= phi[cut(key)]
+                        acc += term
+                res[key] = Fraction(acc, dstar)
+        den_dst[m] = scale_into(dst.setdefault(m, {}) if dense else dst, res)
         out[m] = res
     return out

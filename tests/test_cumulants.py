@@ -2,6 +2,7 @@ import importlib
 import itertools
 import json
 import random
+from math import lcm, prod
 
 import pytest
 from fractions import Fraction
@@ -13,12 +14,14 @@ from freedf.cumulants import (
     CumulantTable,
     MomentTable,
     cumulants_from_moments,
+    first_block_shapes,
     kappa_pi,
     kernel_classes,
     moments_from_cumulants,
     parse_rgs_key,
     phi_pi,
     representative_tuple,
+    scale_into,
     table_from_json,
     tuple_kernels,
 )
@@ -499,3 +502,228 @@ def test_dense_writer_formats_each_value_once(monkeypatch):
     doc = t.to_json()
     assert json.dumps(doc["values"]) == json.dumps(want)
     assert len(calls) == len(set().union(*(layer.values() for layer in layers.values())))
+
+
+# ---- dense layers in product order --------------------------------------------
+
+
+def words(n, m):
+    return list(itertools.product(range(1, n + 1), repeat=m))
+
+
+def reference_dense_transform(table, to_moments):
+    """The tuple-keyed dense first-block transform that preceded the
+    positional one, kept as its oracle: every cut word is a dict lookup."""
+    src, dst, den_src, den_dst = {}, {}, {}, {}
+    if to_moments:
+        kappa, phi, den_kappa, den_phi, sign = src, dst, den_src, den_dst, 1
+    else:
+        kappa, phi, den_kappa, den_phi, sign = dst, src, den_dst, den_src, -1
+    out = {}
+    for m in range(1, table.max_order + 1):
+        layer = table.values[m]
+        den_src[m] = scale_into(src, layer)
+        terms = [
+            (cut_v, cut_gaps, den_kappa[len(V)] * prod(den_phi[len(g)] for g in gaps))
+            for V, gaps, cut_v, cut_gaps in first_block_shapes(m)
+        ]
+        dstar = lcm(den_src[m], *(d for _, _, d in terms))
+        terms = [(cut_v, cut_gaps, sign * (dstar // d)) for cut_v, cut_gaps, d in terms]
+        lead = dstar // den_src[m]
+        res = {}
+        for key in layer:
+            acc = src[key] * lead
+            for cut_v, cut_gaps, mult in terms:
+                k = kappa[cut_v(key)]
+                if k:
+                    term = mult * k
+                    for cut in cut_gaps:
+                        term *= phi[cut(key)]
+                    acc += term
+            res[key] = Fraction(acc, dstar)
+        den_dst[m] = scale_into(dst, res)
+        out[m] = res
+    return out
+
+
+def any_value(rng):
+    """Zero, a small integer of either sign, or a fraction with a large denominator."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9))
+    if kind == 2:
+        return Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 30))
+    return Fraction(rng.randint(-5, 5), rng.choice((3, 7, 2 ** 61 - 1, 10 ** 18 + 9)))
+
+
+def random_layers(n, M, rng, shuffled):
+    """{m: {word: value}} over [n]^m, keys in product order or shuffled."""
+    layers = {}
+    for m in range(1, M + 1):
+        items = [(i, any_value(rng)) for i in words(n, m)]
+        if shuffled:
+            rng.shuffle(items)
+        layers[m] = dict(items)
+    return layers
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    st.sampled_from([(n, M) for n in range(1, 5) for M in range(0, 6) if n ** M <= 256]),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_positional_transform_matches_tuple_keyed_reference(shape, shuffled, rng):
+    n, M = shape
+    layers = random_layers(n, M, rng, shuffled)
+    for cls, convert, to_moments in (
+        (MomentTable, cumulants_from_moments, False),
+        (CumulantTable, moments_from_cumulants, True),
+    ):
+        table = cls(n, M, layers)
+        got = convert(table)
+        want = reference_dense_transform(table, to_moments)
+        for m in range(1, M + 1):
+            assert list(got.values[m].items()) == list(want[m].items()), (m, to_moments)
+            assert list(got.values[m]) == words(n, m)
+
+
+def test_shuffled_dense_layers_are_stored_in_product_order():
+    rng = random.Random(21)
+    for n, M in ((1, 3), (2, 4), (3, 3), (10, 2)):
+        ordered = random_layers(n, M, random.Random(n), shuffled=False)
+        shuffled = {m: dict(rng.sample(list(layer.items()), len(layer))) for m, layer in ordered.items()}
+        t = MomentTable(n, M, shuffled)
+        for m in range(1, M + 1):
+            assert list(t.values[m]) == words(n, m)
+            assert t.values[m] == ordered[m]
+        assert json.dumps(t.to_json()) == json.dumps(MomentTable(n, M, ordered).to_json())
+        assert t.to_json() == table_from_json(t.to_json()).to_json()
+
+
+def reference_key_check(n, max_order, values):
+    """The per-key check of dense layers that preceded the order check,
+    kept as its oracle: the count, then every key an m-tuple over [n]."""
+    labels = set(range(1, n + 1))
+    for m in range(1, max_order + 1):
+        layer = values.get(m, {})
+        if len(layer) != n ** m:
+            raise IncompleteTable("order %d has %d entries, expected %d" % (m, len(layer), n ** m))
+        for key in layer:
+            if not (isinstance(key, tuple) and len(key) == m and set(key) <= labels):
+                raise SchemaError("order %d carries an unexpected key %r" % (m, key))
+
+
+def check_outcome(check, n, M, values):
+    try:
+        check(n, M, values)
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+def bad_word(op, n, m):
+    """A dense key that is not a word of [n]^m."""
+    return {
+        "stray": (n + 1,) * m,
+        "zero": (0,) * m,
+        "text": ",".join(["1"] * m),
+        "int": 1,
+        "long": (1,) * (m + 1),
+        "short": (1,) * (m - 1),
+    }[op]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.sampled_from([(1, 2), (2, 1), (2, 3), (3, 2)]),
+    st.lists(st.sampled_from(("shuffle", "drop", "stray", "zero", "text", "int", "long", "short")), max_size=3),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_dense_key_errors_match_the_per_key_check(shape, ops, replace, rng):
+    n, M = shape
+    layers = {m: list(layer.items()) for m, layer in random_layers(n, M, rng, shuffled=False).items()}
+    m = rng.randint(1, M)  # the order the ops mangle
+    target = layers[m]
+    for op in ops:
+        if not target:
+            break
+        j = rng.randrange(len(target))
+        if op == "shuffle":
+            rng.shuffle(target)
+        elif op == "drop":
+            del target[j]
+        elif replace:
+            target[j] = (bad_word(op, n, m), Fraction(1))
+        else:
+            target.insert(j, (bad_word(op, n, m), Fraction(1)))
+    values = {k: dict(items) for k, items in layers.items()}
+    want = check_outcome(reference_key_check, n, M, values)
+    got = check_outcome(lambda *a: MomentTable(*a, repr=DENSE), n, M, values)
+    assert got == want
+    if want is None:
+        assert MomentTable(n, M, values).values == values
+
+
+def test_dense_key_errors_keep_their_messages():
+    ones = {(1,): 1, (2,): 1}
+    full = {i: 1 for i in words(2, 2)}
+    cases = [
+        ({1: ones, 2: dict(list(full.items())[:-1])}, IncompleteTable, "order 2 has 3 entries, expected 4"),
+        ({1: ones, 2: {**dict(list(full.items())[:-1]), (1, 3): 1}}, SchemaError,
+         "order 2 carries an unexpected key (1, 3)"),
+        ({1: {(1,): 1, (0,): 2}}, SchemaError, "order 1 carries an unexpected key (0,)"),
+        ({1: ones, 2: {**dict(list(full.items())[1:]), "1,1": 1}}, SchemaError,
+         "order 2 carries an unexpected key '1,1'"),
+        ({1: ones, 2: {**dict(list(full.items())[:-1]), (2, 2, 2): 1}}, SchemaError,
+         "order 2 carries an unexpected key (2, 2, 2)"),
+        ({1: ones, 2: {**dict(list(full.items())[:-1]), (2,): 1}}, SchemaError,
+         "order 2 carries an unexpected key (2,)"),
+        ({1: {1: 1, (2,): 2}}, SchemaError, "order 1 carries an unexpected key 1"),
+    ]
+    for values, error, message in cases:
+        with pytest.raises(error) as exc:
+            MomentTable(2, max(values), values)
+        assert str(exc.value) == message
+
+
+def test_positional_kernel_view_matches_kernel_of_each_tuple():
+    rng = random.Random(22)
+    for m, n in ((1, 1), (1, 5), (3, 2), (6, 6)):
+        values = {k: {tau: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for tau in kernel_classes(k, n)}
+                  for k in range(1, m + 1)}
+        dense = MomentTable(n, m, values, repr=KERNEL).to_dense()
+        view = dense.kernel_view(m)
+        assert view == values[m] and list(view) == list(dict.fromkeys(map(kernel, words(n, m))))
+        for i, v in dense.values[m].items():
+            assert view[kernel(i)] == v, i
+
+
+def test_positional_kernel_view_keeps_its_witness_pair():
+    t = semicircular_model(2, 3).to_dense()
+    t.values[3][(2, 1, 2)] = Fraction(7)
+    with pytest.raises(NotKernelRepresentable) as exc:
+        t.kernel_view(3)
+    assert str(exc.value) == "tuples (1, 2, 1) and (2, 1, 2) share kernel 0,1,0 but differ: 0 vs 7"
+
+
+def test_value_refuses_indices_outside_the_range():
+    # a kernel table read (7, 7) as the class 0,0 and answered 1; its dense
+    # copy raised a bare KeyError
+    sc = semicircular_model(3, 4)
+    for t in (sc, sc.to_dense()):
+        for i in ((7, 7), (0, 0), (1, 4), (-1,), (3, 3, 3, 9)):
+            with pytest.raises(SchemaError, match="out of range"):
+                t.value(i)
+        with pytest.raises(SchemaError):
+            kappa_pi(t, one_block(2), (7, 7))
+        with pytest.raises(SchemaError):
+            phi_pi(t, singletons(2), (1, 0))
+        with pytest.raises(SchemaError):
+            t.kernel_value(4, singletons(4))  # four blocks over n = 3
+        with pytest.raises(OrderExceeded):
+            t.value((9,) * 5)
+        assert t.value((3, 3)) == 1 and t.value((1, 2, 2, 1)) == 1
