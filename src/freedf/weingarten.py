@@ -10,6 +10,12 @@ Gram * num = D * I. The reduced denominators are far smaller than the
 Gram determinant, so one or two primes usually suffice. The disk cache
 keeps the "p/q" text of matrix_json and is scaled to (D, num) on load.
 
+Counting tuples by kernel gives n^#pi = sum over tau >= pi of (n)_#tau,
+so G = Z Delta Z^T, with Z the 0/1 incidence index from C(m) to the
+classes tau with #tau <= n (categories.incidence) and Delta =
+diag((n)_#tau). The Gram rows and the check G * num = Z (Delta (Z^T num))
+are both 2 nnz(Z) packed-row sums; the check builds no Gram matrix.
+
 Both kernels hold each matrix row as one Python integer, the entries in
 fixed-width slots (slot j is bits j*w .. j*w+w-1), so that a row
 operation is one big-integer multiply-add done in C. In the elimination
@@ -20,9 +26,11 @@ normalized pivot row (< p) with 1 added in slot k so that column k gets
 pivot and once at the end, so it takes at most N updates in between and
 its slots stay below p + N * p^2 < 2^w when w >= 2 bits(p) + bits(N) + 1;
 no slot ever carries into the next. The exact check packs the rows of num
-with signed slots of width w >= bits((N max|A| + 1) max|num| + |D|) + 2,
-which holds every entry of num and of A * num - D * I, so a row of that
-difference is sum_j d_j 2^(jw) with every |d_j| < 2^(w-2).
+with signed slots of width w >= bits((N max|A| + 1) max|num| + |D|) + 2
+(max|A| = n^(max #sigma) for a Gram matrix), which holds every entry of
+num and of A * num - D * I, so a row of that difference is sum_j d_j 2^(jw)
+with every |d_j| < 2^(w-2). Integer sums are exact in any order, so the
+factored sums give exactly that packed row; no partial sum need fit.
 Such a sum is zero only when every d_j is: the lowest nonzero d_j would
 have to be divisible by 2^w. Comparing the product row with D << a*w as
 integers is therefore the exact entrywise test, not a probabilistic one.
@@ -38,14 +46,14 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, perm, prod
 
-from .errors import FreedfError, NotInPoset, SingularGram, SizeMismatch, TableTooLarge
+from .errors import FreedfError, NotInPoset, SchemaError, SingularGram, SizeMismatch, TableTooLarge
 from .categories import enumerate_category, incidence
 from .cumulants import DENSE_GUARD, scale_into
-from .partitions import Partition, check_indices, join_num_blocks, parse_partition, relabel
+from .partitions import Partition, check_indices, num_blocks, parse_partition, relabel
 from .rationals import rational_reader, rational_writer
 
 CACHE_ENV = "FREEDF_CACHE_DIR"
@@ -57,12 +65,7 @@ class GramTable:
     use: ints when D is 1, else one Fraction per distinct numerator."""
 
     def __init__(self, cat, m, n, basis, D, num):
-        self.cat = cat
-        self.m = m
-        self.n = n
-        self.basis = tuple(basis)
-        self.D = D
-        self.num = num
+        self.cat, self.m, self.n, self.basis, self.D, self.num = cat, m, n, tuple(basis), D, num
 
     @cached_property
     def entries(self):
@@ -82,38 +85,44 @@ class GramTable:
 WeingartenTable = GramTable
 
 
-_EXP_CACHE = {}
+def _check_size(cat, m, n):
+    """C(m); SchemaError for n < 0, TableTooLarge when an N x N matrix
+    over C(m) exceeds DENSE_GUARD entries."""
+    if n < 0:
+        raise SchemaError("n must be a nonnegative integer, got %d" % n)
+    basis = enumerate_category(cat, m)
+    if len(basis) ** 2 > DENSE_GUARD:
+        raise TableTooLarge("a matrix over C(%d) for %s needs %d x %d entries" % (m, cat, len(basis), len(basis)))
+    return basis
 
 
-def _join_exponents(cat, m):
-    """Matrix of #(pi v sigma) over the C(m) basis, shared across n."""
-    got = _EXP_CACHE.get((cat, m))
-    if got is None:
-        basis = enumerate_category(cat, m)
-        size = len(basis)
-        E = [[0] * size for _ in range(size)]
-        for a in range(size):
-            pa = basis[a]
-            E[a][a] = pa.num_blocks
-            for b in range(a + 1, size):
-                E[a][b] = E[b][a] = join_num_blocks(pa, basis[b])
-        got = (tuple(basis), tuple(tuple(r) for r in E))
-        _EXP_CACHE[(cat, m)] = got
-    return got
+def _times_gram(cat, m, n, rows):
+    """G * rows for packed rows over C(m), as Z (Delta (Z^T rows)): the sum
+    of the rows below each class tau, times (n)_#tau, added to each row
+    below tau."""
+    falling = [perm(n, k) for k in range(m + 1)]
+    acc = [0] * len(rows)
+    for tau, below in incidence(cat, m, n).items():
+        t = falling[num_blocks(tau)] * sum(map(rows.__getitem__, below))
+        for a in below:
+            acc[a] += t
+    return acc
 
 
-def _check_size(cat, m):
-    """TableTooLarge when an N x N matrix over C(m) exceeds DENSE_GUARD entries."""
-    size = len(enumerate_category(cat, m))
-    if size * size > DENSE_GUARD:
-        raise TableTooLarge("a matrix over C(%d) for %s needs %d x %d entries" % (m, cat, size, size))
+def _top(cat, m, n):
+    """The largest Gram entry, n^(max #sigma)."""
+    return n ** max(map(num_blocks, enumerate_category(cat, m)), default=0)
 
 
 def gram(cat, m, n):
-    _check_size(cat, m)
-    basis, E = _join_exponents(cat, m)
-    powers = [n ** k for k in range(m + 1)]
-    return GramTable(cat, m, n, basis, 1, [[powers[e] for e in row] for row in E])
+    """G(pi, sigma) = n^#(pi v sigma): G times the packed unit rows, with
+    slots wider than the largest entry; equal entries share one int."""
+    basis = _check_size(cat, m, n)
+    size = len(basis)
+    B = _top(cat, m, n).bit_length() // 8 + 1
+    acc = _times_gram(cat, m, n, [1 << 8 * B * b for b in range(size)])
+    powers = {n ** k: n ** k for k in range(m + 1)}
+    return GramTable(cat, m, n, basis, 1, [list(map(powers.__getitem__, _unpack(r, size, B))) for r in acc])
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -242,39 +251,32 @@ def _reconstruct(X, P):
     return D, num
 
 
-def _times_is_scalar(A, num, D):
-    """Exact test of A * num == D * I over the integers.
+def _is_gram_inverse(cat, m, n, num, D):
+    """Exact test of G * num == D * I over the integers.
 
     Each row of num is packed into one integer, signed slots of a width
     that holds every entry of the product (see the module docstring), so
-    a product row is a sum of packed rows and is compared with D in slot
-    a as one integer. Each row of A is grouped by value, so a Gram row
-    (values n^e) costs m+1 packed-row sums and m+1 scalings.
+    row a of G * num is row a of _times_gram, compared with D in slot a
+    as one integer.
     """
-    a_max, num_max = (max(map(abs, chain.from_iterable(M)), default=0) for M in (A, num))
-    B = (((len(A) * a_max + 1) * num_max + abs(D)).bit_length() + 9) // 8
+    size = len(num)
+    num_max = max(map(abs, chain.from_iterable(num)), default=0)
+    B = (((size * _top(cat, m, n) + 1) * num_max + abs(D)).bit_length() + 9) // 8
     w, bias = 8 * B, 1 << 8 * B - 1
-    offset = _pack([bias] * len(A), B)
+    offset = _pack([bias] * size, B)
     rows = [_pack([x + bias for x in row], B) - offset for row in num]
-    for a, row in enumerate(A):
-        groups = {}
-        for c, v in enumerate(row):
-            if v:
-                groups[v] = groups.get(v, 0) + rows[c]
-        if sum(v * r for v, r in groups.items()) != D << a * w:
-            return False
-    return True
+    return all(r == D << a * w for a, r in enumerate(_times_gram(cat, m, n, rows)))
 
 
-def _ff_inverse(A):
+def _ff_inverse(A, is_inverse):
     """Exact inverse of an integer matrix with nonzero leading minors.
 
     Returns (D, num) with inverse = num / D and D the least common
     denominator, or None when a leading minor is zero. The inverse is
     taken modulo a fixed sequence of 62-bit primes, combined by CRT and
     recovered by rational reconstruction; a candidate is returned only
-    once the exact integer product A * num equals D * I, and one more
-    prime is added whenever it does not.
+    once the exact test is_inverse(num, D) of A * num == D * I holds, and
+    one more prime is added whenever it does not.
 
     A prime whose elimination stops at step k divides the leading minor
     of order k+1. None is returned only when the primes stopping at the
@@ -298,13 +300,10 @@ def _ff_inverse(A):
             X = inv
         else:
             c = pow(P, -1, p)
-            X = [
-                [x + P * ((r - x) * c % p) for x, r in zip(xrow, rrow)]
-                for xrow, rrow in zip(X, inv)
-            ]
+            X = [[x + P * ((r - x) * c % p) for x, r in zip(xrow, rrow)] for xrow, rrow in zip(X, inv)]
         P *= p
         got = _reconstruct(X, P)
-        if got is not None and _times_is_scalar(A, got[1], got[0]):
+        if got is not None and is_inverse(got[1], got[0]):
             return got
 
 
@@ -312,13 +311,14 @@ _WG_CACHE = {}
 
 
 def weingarten(cat, m, n):
+    _check_size(cat, m, n)
     got = _WG_CACHE.get((cat, m, n))
     if got is not None:
         return got
     got = _load_cached(cat, m, n)
     if got is None:
         g = gram(cat, m, n)
-        res = _ff_inverse(g.num)
+        res = _ff_inverse(g.num, partial(_is_gram_inverse, cat, m, n))
         if res is None:
             raise SingularGram(cat, m, n)
         got = WeingartenTable(cat, m, n, g.basis, *res)
@@ -337,8 +337,9 @@ def _load_cached(cat, m, n):
 
     An entry is used only when its header matches the request, its basis
     is C(m) in basis order, its entries form a square matrix over that
-    basis and Gram * W = I holds exactly; otherwise it is recomputed and
-    overwritten. Each distinct entry text is parsed and scaled once.
+    basis and Gram * W = I holds exactly (by _is_gram_inverse, which builds
+    no Gram matrix); otherwise it is recomputed and overwritten. Each
+    distinct entry text is parsed and scaled once.
     """
     path = _cache_path(cat, m, n)
     if not path or not os.path.exists(path):
@@ -356,7 +357,7 @@ def _load_cached(cat, m, n):
     except (OSError, ValueError, KeyError, TypeError, FreedfError):
         return None  # unreadable cache entries are rebuilt
     square = {len(num), *map(len, num)} == {len(basis)}
-    if basis != tuple(enumerate_category(cat, m)) or not square or not _times_is_scalar(gram(cat, m, n).num, num, D):
+    if basis != tuple(enumerate_category(cat, m)) or not square or not _is_gram_inverse(cat, m, n, num, D):
         return None
     return WeingartenTable(cat, m, n, basis, D, num)
 
@@ -414,10 +415,8 @@ def wg_scaled(cat, k, n, p, q):
 
 
 def verify_inverse(cat, m, n):
-    """Exact check that Gram * Weingarten is the identity.
-
-    Works on the integer numerators over the common denominator, with
-    the Gram rows grouped by exponent (see _times_is_scalar).
-    """
+    """Exact check that Gram * Weingarten is the identity, on the integer
+    numerators over the common denominator, through the factor
+    G = Z Delta Z^T without a Gram matrix (see _is_gram_inverse)."""
     wg = weingarten(cat, m, n)
-    return _times_is_scalar(gram(cat, m, n).num, wg.num, wg.D)
+    return _is_gram_inverse(cat, m, n, wg.num, wg.D)

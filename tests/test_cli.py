@@ -423,3 +423,13 @@ def test_matrix_size_guard_reaches_every_command(tmp_path, monkeypatch):
         result = run(args)
         assert result.exit_code == 2, (args, result.output)
         assert json.loads(result.stderr)["error"] == "table-too-large"
+
+
+def test_negative_n_exits_2_with_a_schema_error():
+    for cmd in ("gram", "weingarten"):
+        result = run([cmd, "--category", "o+", "--m", "2", "--n", "-1"])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert json.loads(result.stderr) == {
+            "error": "schema-error",
+            "message": "n must be a nonnegative integer, got -1",
+        }

@@ -1,6 +1,7 @@
 import importlib
 import json
 import random
+from functools import partial
 from itertools import chain, islice
 
 import pytest
@@ -8,16 +9,17 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 from math import comb, gcd, lcm, prod
 
-from freedf.categories import B_PLUS, H_PLUS, O_PLUS, S_PLUS
+from freedf.categories import B_PLUS, H_PLUS, O_PLUS, S_PLUS, enumerate_category
 from freedf.errors import NotInPoset, SchemaError, SingularGram, SizeMismatch, TableTooLarge
-from freedf.partitions import one_block, parse_partition, singletons
+from freedf.partitions import join_num_blocks, one_block, parse_partition, singletons
 from freedf.rationals import format_rational
 from freedf.weingarten import (
     _WG_CACHE,
     _ff_inverse,
     _inverse_mod,
+    _is_gram_inverse,
+    _pack,
     _primes,
-    _times_is_scalar,
     gram,
     haar_moment,
     matrix_json,
@@ -30,6 +32,64 @@ ALL_CATS = (O_PLUS, S_PLUS, H_PLUS, B_PLUS)
 # the package re-exports the function weingarten under the module's name
 wg_module = importlib.import_module("freedf.weingarten")
 rationals = importlib.import_module("freedf.rationals")
+categories = importlib.import_module("freedf.categories")
+
+
+# The union-find Gram matrix and the packed dense product check that the
+# factor G = Z Delta Z^T replaced, kept as references: _join_exponents for
+# gram, _times_is_scalar as the exact check of a generic matrix.
+
+_EXP_CACHE = {}
+
+
+def _join_exponents(cat, m):
+    """Matrix of #(pi v sigma) over the C(m) basis, shared across n."""
+    got = _EXP_CACHE.get((cat, m))
+    if got is None:
+        basis = enumerate_category(cat, m)
+        size = len(basis)
+        E = [[0] * size for _ in range(size)]
+        for a in range(size):
+            pa = basis[a]
+            E[a][a] = pa.num_blocks
+            for b in range(a + 1, size):
+                E[a][b] = E[b][a] = join_num_blocks(pa, basis[b])
+        got = (tuple(basis), tuple(tuple(r) for r in E))
+        _EXP_CACHE[(cat, m)] = got
+    return got
+
+
+def _times_is_scalar(A, num, D):
+    """Exact test of A * num == D * I over the integers.
+
+    Each row of num is packed into one integer, signed slots of a width
+    that holds every entry of the product (see the weingarten module
+    docstring), so a product row is a sum of packed rows and is compared
+    with D in slot a as one integer. Each row of A is grouped by value.
+    """
+    a_max, num_max = (max(map(abs, chain.from_iterable(M)), default=0) for M in (A, num))
+    B = (((len(A) * a_max + 1) * num_max + abs(D)).bit_length() + 9) // 8
+    w, bias = 8 * B, 1 << 8 * B - 1
+    offset = _pack([bias] * len(A), B)
+    rows = [_pack([x + bias for x in row], B) - offset for row in num]
+    for a, row in enumerate(A):
+        groups = {}
+        for c, v in enumerate(row):
+            if v:
+                groups[v] = groups.get(v, 0) + rows[c]
+        if sum(v * r for v, r in groups.items()) != D << a * w:
+            return False
+    return True
+
+
+def generic_inverse(A):
+    """_ff_inverse of a generic integer matrix, accepted by the dense check."""
+    return _ff_inverse(A, partial(_times_is_scalar, A))
+
+
+def gram_inverse(cat, m, n):
+    """_ff_inverse of a Gram matrix, accepted by the factored check."""
+    return _ff_inverse(gram(cat, m, n).num, partial(_is_gram_inverse, cat, m, n))
 
 
 def naive_product_is_identity(g, wg):
@@ -51,6 +111,25 @@ def test_gram_examples():
     assert g2.entries == ((4, 4), (4, 16))
     g3 = gram(O_PLUS, 3, 5)
     assert g3.basis == () and g3.entries == ()
+
+
+def gram_oracle_cases():
+    """All four categories at m <= 7 (m = 0 and the empty odd-m bases of
+    o+ and h+ included), n in {0, 1, 2, 3, m - 1, m, m + 2}."""
+    for cat in ALL_CATS:
+        for m in range(8):
+            for n in sorted({0, 1, 2, 3, m - 1, m, m + 2} - {-1}):
+                yield cat, m, n
+
+
+def test_gram_matches_join_exponents():
+    for cat, m, n in gram_oracle_cases():
+        basis, E = _join_exponents(cat, m)
+        g = gram(cat, m, n)
+        assert g.basis == basis and g.D == 1, (cat, m, n)
+        assert g.num == [[n ** e for e in row] for row in E], (cat, m, n)
+        # equal entries share one int, as n ** e over a table of powers does
+        assert len({id(x) for row in g.num for x in row}) <= m + 1
 
 
 def test_gram_is_symmetric_join_power():
@@ -157,7 +236,8 @@ def test_inverse_matches_bareiss_sweep():
                     continue
                 A = [list(row) for row in g.entries]
                 want = bareiss_inverse(A)
-                got = _ff_inverse(A)
+                got = gram_inverse(cat, m, n)
+                assert got == generic_inverse(A), (cat, m, n)
                 if want is None:
                     assert got is None, (cat, m, n)
                     singular.add((cat.value, m, n))
@@ -171,7 +251,7 @@ def test_inverse_matches_bareiss_sweep():
 def test_inverse_denominator_is_least():
     for cat in ALL_CATS:
         for n in (4, 7):
-            D, num = _ff_inverse([list(row) for row in gram(cat, 5, n).entries])
+            D, num = gram_inverse(cat, 5, n)
             assert D == lcm(*(Fraction(x, D).denominator for row in num for x in row)), (cat, n)
 
 
@@ -182,15 +262,15 @@ def test_inverse_generic_integer_matrices():
         for bits in (4, 40, 90):
             A = [[rng.randint(-(2 ** bits), 2 ** bits) for _ in range(size)] for _ in range(size)]
             want = bareiss_inverse(A)
-            got = _ff_inverse(A)
+            got = generic_inverse(A)
             if want is None:
                 assert got is None
             else:
                 assert same_inverse(want, got), (size, bits)
     big = 2 ** 100
-    assert _ff_inverse([[big + 1, big], [big, big - 1]]) == (1, [[1 - big, big], [big, -1 - big]])
-    assert _ff_inverse([[0, 1], [1, 0]]) is None
-    assert _ff_inverse([[1, 2], [2, 4]]) is None
+    assert generic_inverse([[big + 1, big], [big, big - 1]]) == (1, [[1 - big, big], [big, -1 - big]])
+    assert generic_inverse([[0, 1], [1, 0]]) is None
+    assert generic_inverse([[1, 2], [2, 4]]) is None
 
 
 def test_verify_inverse_agrees():
@@ -372,7 +452,7 @@ def test_weingarten_process_cache():
 
 def test_size_guard_raises_before_allocating(monkeypatch):
     monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)
-    monkeypatch.setattr(wg_module, "_EXP_CACHE", {})
+    monkeypatch.setattr(categories, "_INCIDENCE", {})
     monkeypatch.setattr(wg_module, "_WG_CACHE", {})
     # |C(6)| = 132 for s+
     monkeypatch.setattr(wg_module, "DENSE_GUARD", 132 * 132 - 1)
@@ -381,9 +461,50 @@ def test_size_guard_raises_before_allocating(monkeypatch):
             build(S_PLUS, 6, 4)
     with pytest.raises(TableTooLarge):
         haar_moment(S_PLUS, 4, (1,) * 6, (1,) * 6)
-    assert wg_module._EXP_CACHE == {} and wg_module._WG_CACHE == {}
+    # the (s+, 6, 4) incidence index was never built
+    assert categories._INCIDENCE == {} and wg_module._WG_CACHE == {}
     monkeypatch.setattr(wg_module, "DENSE_GUARD", 132 * 132)
     assert len(gram(S_PLUS, 6, 4).basis) == 132
+
+
+def test_size_guard_comes_before_the_disk_cache(tmp_path, monkeypatch):
+    # a valid cache entry is still refused once the guard is lowered
+    monkeypatch.setenv("FREEDF_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(wg_module, "_WG_CACHE", {})
+    weingarten(S_PLUS, 4, 3)
+    assert (tmp_path / "s+_4_3.json").exists()
+    monkeypatch.setattr(wg_module, "_WG_CACHE", {})
+    # |C(4)| = 14 for s+
+    monkeypatch.setattr(wg_module, "DENSE_GUARD", 14 * 14 - 1)
+    with pytest.raises(TableTooLarge):
+        weingarten(S_PLUS, 4, 3)
+    assert wg_module._WG_CACHE == {}
+
+
+def test_negative_n_is_refused():
+    # every entry point passes through the one guard of weingarten.py
+    pair = one_block(2)
+    for n, call in (
+        (-1, lambda: gram(O_PLUS, 2, -1)),
+        (-1, lambda: weingarten(O_PLUS, 2, -1)),
+        (-1, lambda: verify_inverse(O_PLUS, 2, -1)),
+        (-1, lambda: wg_scaled(O_PLUS, 1, -1, pair, pair)),
+        (-1, lambda: haar_moment(O_PLUS, -1, (), ())),
+        (-3, lambda: gram(S_PLUS, 0, -3)),
+    ):
+        with pytest.raises(SchemaError) as exc:
+            call()
+        assert str(exc.value) == "n must be a nonnegative integer, got %d" % n
+
+
+def test_n_zero_keeps_its_results():
+    for cat in ALL_CATS:
+        assert gram(cat, 0, 0).num == [[1]] and weingarten(cat, 0, 0).num == [[1]]
+        for m in (2, 4):
+            g = gram(cat, m, 0)
+            assert g.num == [[0] * len(g.basis) for _ in g.basis] and g.basis
+            with pytest.raises(SingularGram):
+                weingarten(cat, m, 0)
 
 
 # The list-based kernels that the packed-row _inverse_mod and
@@ -480,15 +601,20 @@ def test_packed_inverse_mod_on_gram_matrices():
         assert _inverse_mod(A, 2)[1] is None
 
 
+GRAM_CASES = ((S_PLUS, 6, 4), (O_PLUS, 12, 3), (B_PLUS, 5, 3), (H_PLUS, 4, 2))
+
+
 def _inverse_cases():
+    """(A, (D, num), key): random integer matrices with key None, then Gram
+    matrices keyed by (cat, m, n)."""
     rng = random.Random(9)
     for size, bits in ((1, 3), (2, 90), (3, 40), (5, 90), (8, 20), (12, 90)):
         A = [[rng.randint(-(2 ** bits), 2 ** bits) for _ in range(size)] for _ in range(size)]
-        got = _ff_inverse(A)
+        got = generic_inverse(A)
         if got is not None:
-            yield A, got
-    for cat, m, n in ((S_PLUS, 6, 4), (O_PLUS, 12, 3), (B_PLUS, 5, 3), (H_PLUS, 4, 2)):
-        yield gram(cat, m, n).num, _ff_inverse(gram(cat, m, n).num)
+            yield A, got, None
+    for key in GRAM_CASES:
+        yield gram(*key).num, gram_inverse(*key), key
 
 
 def corruptions(A, num, D, rng):
@@ -522,21 +648,37 @@ def corruptions(A, num, D, rng):
 
 def test_packed_check_accepts_inverses_and_rejects_corruptions():
     rng = random.Random(11)
-    for A, (D, num) in _inverse_cases():
+    for A, (D, num), key in _inverse_cases():
         assert _times_is_scalar(A, num, D) and reference_times_is_scalar(A, num, D)
+        assert key is None or _is_gram_inverse(*key, num, D)
         for bad_D, bad in corruptions(A, num, D, rng):
             # the list-based reference is too slow to rerun on every Gram case
             assert len(A) > 12 or not reference_times_is_scalar(A, bad, bad_D)
             assert not _times_is_scalar(A, bad, bad_D), (len(A), bad_D)
+            assert key is None or not _is_gram_inverse(*key, bad, bad_D), (key, bad_D)
+
+
+def test_factored_check_matches_the_dense_check():
+    # random perturbations of a true inverse, some of them still true
+    rng = random.Random(13)
+    for key in GRAM_CASES + ((S_PLUS, 0, 2), (B_PLUS, 3, 0), (O_PLUS, 6, 2)):
+        A = gram(*key).num
+        D, num = gram_inverse(*key) or (1, [[0] * len(A) for _ in A])
+        for changes in (0, 1, 1, 2, 2, 3):
+            bad = [list(row) for row in num]
+            for _ in range(changes):
+                bad[rng.randrange(len(A))][rng.randrange(len(A))] += rng.choice((1, -1, D))
+            assert _is_gram_inverse(*key, bad, D) == _times_is_scalar(A, bad, D), (key, changes)
 
 
 def test_packed_kernels_on_the_empty_basis():
     # C(m) is empty for o+ and h+ at odd m
     for p in TEST_PRIMES:
         assert _inverse_mod([], p) == (0, [])
-    assert _times_is_scalar([], [], 1) and _ff_inverse([]) == (1, [])
+    assert _times_is_scalar([], [], 1) and generic_inverse([]) == (1, [])
     for cat in (O_PLUS, H_PLUS):
         assert gram(cat, 3, 4).num == [] and verify_inverse(cat, 3, 4)
+        assert _is_gram_inverse(cat, 3, 4, [], 1) and gram_inverse(cat, 3, 4) == (1, [])
 
 
 def chebyshev_u(j, n):
