@@ -90,7 +90,7 @@ def parse_family(doc, kinds):
         raise SchemaError("field 'kind' must be one of %s, got %r" % (sorted(kinds), doc["kind"]))
     cat = parse_category(doc["category"])
     M = parse_count(doc, "max_order", 1)
-    values = parse_layers(doc["values"], M, parse_rgs_key, lambda m: [(p, str(p)) for p in enumerate_category(cat, m)])
+    values = parse_layers(doc["values"], M, parse_rgs_key, lambda m: enumerate_category(cat, m))
     return cat, M, values
 
 

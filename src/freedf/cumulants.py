@@ -17,15 +17,18 @@ directions.
 
 Every dense layer of a Table is a dict in itertools.product order, the
 order to_json writes: Table() checks this in one streaming comparison
-and rebuilds a layer given in another order once, and the dense
-transform reads values by position, finding a cut word by its rank.
-Tables are read by matching keys, not parsing them: a key whose text is
-the one to_json writes at its position is taken as is, and any other
-key is parsed and validated.
+and rebuilds a layer given in another order once. A dense layer depends
+on words only through their kernels iff it is S_n-invariant, which
+Table.kernel_layer tests by position; a table whose every layer passes
+is transformed on its kernel classes, any other by position, a cut word
+found by its rank. A layer whose texts are the ones to_json writes, in
+order, is read in one pass; in any other a key is parsed only when its
+text differs from the expected one at its position.
 """
 
 import itertools
 from fractions import Fraction
+from functools import partial, reduce
 from math import lcm, prod
 from operator import add, eq, itemgetter, mul
 
@@ -48,7 +51,7 @@ from .partitions import (
     relabel,
     render_index_tuple,
 )
-from .rationals import rational_reader, rational_writer
+from .rationals import rational_reader, rational_writer, read_rationals
 
 DENSE_GUARD = 10 ** 7
 
@@ -72,32 +75,35 @@ _TUPLE_KERNELS = {}
 
 
 def tuple_kernels(m, n):
-    """{i: ker(i)} over every tuple of [n]^m, built once per (m, n).
-
-    Keys come in itertools.product order and the values are the
-    kernel_classes(m, n) objects. Each class tau fills its tuples by
-    cutting the labels of tau out of the injective label tuples over
-    [n], so no tuple is relabelled and no Partition is built.
-    """
+    """[ker(i) for i in [n]^m] in product order, built once per (m, n), of
+    kernel_classes(m, n) objects. A word of class tau labels its blocks
+    injectively; its rank is the labels' dot product with the block weights."""
     got = _TUPLE_KERNELS.get((m, n))
     if got is None:
-        got = dict.fromkeys(itertools.product(range(1, n + 1), repeat=m))
+        got = [None] * n ** m
         for tau in kernel_classes(m, n):
-            pick = _cut(tau)
-            for labels in itertools.permutations(range(1, n + 1), num_blocks(tau)):
-                got[pick(labels)] = tau
+            weights = [0] * num_blocks(tau)
+            for j, block in enumerate(tau):
+                weights[block] += n ** (m - 1 - j)
+            labellings = itertools.permutations(range(n), len(weights))
+            for rank in map(sum, map(map, itertools.repeat(mul), labellings, itertools.repeat(weights))):
+                got[rank] = tau
         _TUPLE_KERNELS[(m, n)] = got
     return got
 
 
-def product_keys(n, m):
-    """Every tuple of [n]^m in itertools.product order with its text "1,3,2",
-    built as its prefix's text plus one label; no n^m texts are kept."""
+def product_texts(n, m):
+    """The text "1,3,2" of every word of [n]^m, in itertools.product order,
+    each built as its prefix's text plus one label."""
     texts = [str(k) for k in range(1, n + 1)]
     tails = ["," + t for t in texts]
     for _ in range(m - 1):
-        texts = (t + tail for t in texts for tail in tails)
-    return zip(itertools.product(range(1, n + 1), repeat=m), texts)
+        texts = itertools.starmap(add, itertools.product(texts, tails))
+    return texts
+
+
+def _words(n, m):
+    return itertools.product(range(1, n + 1), repeat=m)
 
 
 def _stray_key(layer, m, n, repr):
@@ -130,13 +136,13 @@ class Table:
             want = n ** m if repr == DENSE else len(kernel_classes(m, n))
             if len(layer) != want:
                 raise IncompleteTable("order %d has %d entries, expected %d" % (m, len(layer), want))
-            if repr == DENSE and all(map(eq, layer, itertools.product(range(1, n + 1), repeat=m))):
+            if repr == DENSE and all(map(eq, layer, _words(n, m))):
                 continue  # n^m keys equal to the words of [n]^m, in product order
             stray = _stray_key(layer, m, n, repr)
             if stray is not None:
                 raise SchemaError("order %d carries an unexpected key %r" % (m, stray))
             if repr == DENSE:
-                self.values[m] = {i: layer[i] for i in itertools.product(range(1, n + 1), repeat=m)}
+                self.values[m] = {i: layer[i] for i in _words(n, m)}
 
     def value(self, i):
         """The entry at an index tuple (1-based values in [n])."""
@@ -153,27 +159,34 @@ class Table:
         """The value on the kernel class tau of order m."""
         return self.value(representative_tuple(tau))
 
+    def kernel_layer(self, m):
+        """{tau: value} of order m, or None for a dense order not invariant
+        under the generators (1 2) and (1 2 ... n) of S_n. A class's value
+        is read at its first word in product order, its representative."""
+        if self.repr == KERNEL:
+            return self.values[m]
+        n, vals = self.n, list(self.values[m].values())
+        for label in ([1, 0, *range(2, n)], [*range(1, n), 0]) if n > 1 else ():
+            if list(map(vals.__getitem__, _ranks(range(m), n, m, label))) != vals:
+                return None
+        return {tau: vals[reduce(lambda r, lab: r * n + lab, tau, 0)] for tau in kernel_classes(m, n)}
+
     def kernel_view(self, m):
         """Kernel-class view {tau: value} of order m.
 
         For dense tables this requires kernel representability and
         raises NotKernelRepresentable with a witness pair otherwise.
         """
-        if self.repr == KERNEL:
-            return dict(self.values[m])
-        out, rep = {}, {}
-        for (i, v), tau in zip(self.values[m].items(), tuple_kernels(m, self.n).values()):
-            if tau in out:
-                # entries read from one text are one object
-                if out[tau] is not v and out[tau] != v:
+        view = self.kernel_layer(m)
+        if view is None:
+            first = {}
+            for (i, v), tau in zip(self.values[m].items(), tuple_kernels(m, self.n)):
+                j, w = first.setdefault(tau, (i, v))
+                if w is not v and w != v:
                     raise NotKernelRepresentable(
-                        "tuples %s and %s share kernel %s but differ: %s vs %s"
-                        % (rep[tau], i, tau, out[tau], v)
+                        "tuples %s and %s share kernel %s but differ: %s vs %s" % (j, i, tau, w, v)
                     )
-            else:
-                out[tau] = v
-                rep[tau] = i
-        return out
+        return dict(view)
 
     def to_kernel(self):
         if self.repr == KERNEL:
@@ -185,7 +198,9 @@ class Table:
         if self.repr == DENSE:
             return self
         _check_dense_size(self.n, self.max_order)
-        vals = {m: {i: self.values[m][tau] for i, tau in tuple_kernels(m, self.n).items()} for m in self.values}
+        n, vals = self.n, {}
+        for m, layer in self.values.items():
+            vals[m] = dict(zip(_words(n, m), map(layer.__getitem__, tuple_kernels(m, n))))
         return type(self)(self.n, self.max_order, vals, repr=DENSE)
 
     def to_json(self):
@@ -193,11 +208,10 @@ class Table:
         write = rational_writer()
         for m in range(1, self.max_order + 1):
             layer = self.values[m]
-            if self.repr == DENSE:
-                keys = product_keys(self.n, m)  # product order is sorted order
+            if self.repr == DENSE:  # product order is sorted order
+                vals[str(m)] = dict(zip(product_texts(self.n, m), map(write, layer.values())))
             else:
-                keys = ((key, render_index_tuple(key)) for key in sorted(layer))
-            vals[str(m)] = {text: write(layer[key]) for key, text in keys}
+                vals[str(m)] = {render_index_tuple(key): write(layer[key]) for key in sorted(layer)}
         return {
             "n": self.n,
             "max_order": self.max_order,
@@ -239,17 +253,20 @@ def parse_rgs_key(text, m):
     return key
 
 
-_PAST_END = itertools.repeat((None, object()))  # a text no key equals
+_NO_TEXT = object()  # a text no key equals
+_PAST_END = itertools.repeat((None, _NO_TEXT))
 
 
-def parse_layers(raw, max_order, parse_key, expected):
+def parse_layers(raw, max_order, parse_key, expected, texts=None):
     """{m: {key: Fraction}} for m = 1..max_order from {"m": {text: value}}.
 
-    expected(m) yields the keys of order m as (key, text) pairs in the
-    order to_json writes them; order m must carry exactly these keys, each
-    given once. A text equal to the expected one at its position takes its
-    key unparsed; any other is read by parse_key(text, m).
+    expected(m) yields the keys of order m in the order to_json writes
+    them, and texts(m) their texts (str of each key by default); order m
+    must carry exactly these keys, each given once. A layer of exactly
+    these texts is built in one pass; elsewhere a text differing from the
+    expected one at its position is read by parse_key(text, m).
     """
+    texts = texts or (lambda m: map(str, expected(m)))
     if not isinstance(raw, dict):
         raise SchemaError("field 'values' must be an object keyed by order")
     out = {}
@@ -259,26 +276,26 @@ def parse_layers(raw, max_order, parse_key, expected):
             raise IncompleteTable("values for order %d are missing" % m, missing=[str(m)])
         if not isinstance(layer_doc, dict):
             raise SchemaError("values for order %d must be an object keyed by entry" % m)
-        layer, read, matched = {}, rational_reader(), 0
-        want = iter(expected(m))
+        # zip_longest pads the shorter side, so a missing or extra key fails too
+        if all(itertools.starmap(eq, itertools.zip_longest(layer_doc, texts(m), fillvalue=_NO_TEXT))):
+            out[m] = dict(zip(expected(m), read_rationals(layer_doc.values())))
+            continue
+        layer, read = {}, rational_reader()
+        want = zip(expected(m), texts(m))
         for (text, val), (key, canon) in zip(layer_doc.items(), itertools.chain(want, _PAST_END)):
-            if text == canon:
-                matched += 1
-            else:
+            if text != canon:
                 key = parse_key(text, m)
             if key in layer:
                 raise SchemaError("order %d repeats the key %s as %r" % (m, render_index_tuple(key), text))
             layer[key] = read(val)
         out[m] = layer
-        if matched == len(layer) and next(want, None) is None:
-            continue  # every expected key, in order
-        missing = [key for key, _ in expected(m) if key not in layer]
+        missing = [key for key in expected(m) if key not in layer]
         if missing:
             shown = [render_index_tuple(k) for k in missing[:8]]
             raise IncompleteTable(
                 "order %d is missing %d entries, e.g. %s" % (m, len(missing), ", ".join(shown)), missing=shown
             )
-        stray = set(layer).difference(key for key, _ in expected(m))
+        stray = set(layer).difference(expected(m))
         if stray:
             raise SchemaError("order %d carries an unexpected key %r" % (m, render_index_tuple(min(stray))))
     return out
@@ -299,9 +316,7 @@ def table_from_json(doc):
     if rep not in (DENSE, KERNEL):
         raise SchemaError("field 'repr' must be 'dense' or 'kernel', got %r" % (rep,))
     if rep == KERNEL:
-        values = parse_layers(
-            doc["values"], max_order, parse_rgs_key, lambda m: [(tau, str(tau)) for tau in kernel_classes(m, n)]
-        )
+        values = parse_layers(doc["values"], max_order, parse_rgs_key, lambda m: kernel_classes(m, n))
     else:
         _check_dense_size(n, max_order)
 
@@ -311,7 +326,7 @@ def table_from_json(doc):
                 raise SchemaError("tuple %r under order %d has length %d" % (text, m, len(key)))
             return key
 
-        values = parse_layers(doc["values"], max_order, tuple_key, lambda m: product_keys(n, m))
+        values = parse_layers(doc["values"], max_order, tuple_key, partial(_words, n), partial(product_texts, n))
     cls = MomentTable if kind == "moments" else CumulantTable
     return cls(n, max_order, values, repr=rep)
 
@@ -395,16 +410,17 @@ def scale_into(nums, layer):
     return D
 
 
-def _ranks(positions, n, m):
+def _ranks(positions, n, m, label=None):
     """For each word of [n]^m in product order, the product-order rank of
-    the word cut out at the positions, built one position at a time."""
-    ranks = [0]
+    the word cut out at the positions (each digit d read as label[d]),
+    built one position at a time."""
+    ranks, label = [0], label or range(n)
     for j in range(m):
         longer = [0] * (n * len(ranks))
         if j in positions:
             ranks = [r * n for r in ranks]
         for d in range(n):  # the longer words with digit d at place j
-            longer[d::n] = map(add, ranks, itertools.repeat(d)) if j in positions else ranks
+            longer[d::n] = map(add, ranks, itertools.repeat(label[d])) if j in positions else ranks
         ranks = longer
     return ranks
 
@@ -415,10 +431,15 @@ def _transform(table, to_moments):
     With s = sum over first_block_shapes(m) of kappa(i|V) * prod phi(i|gap),
     which reads lower orders only, phi = kappa + s or kappa = phi - s.
     Both families are integer numerators over per-order denominators, so
-    each key sums integers and divides once. A dense order is a dict in
-    product order, read through the rank of a cut word (_ranks).
+    each key sums integers and divides once. A dense table runs on its
+    kernel classes if it has them, else by the rank of a cut word (_ranks).
     """
-    dense, n = table.repr == DENSE, table.n
+    dense, n, M = table.repr == DENSE, table.n, table.max_order
+    if dense:
+        views = list(itertools.takewhile(lambda view: view is not None, map(table.kernel_layer, range(1, M + 1))))
+        if len(views) == M:
+            kernel = Table(n, M, dict(enumerate(views, 1)), repr=KERNEL)
+            return Table(n, M, _transform(kernel, to_moments), repr=KERNEL).to_dense().values
     src, dst = ({}, {}) if dense else (_Words(), _Words())
     den_src, den_dst = {}, {}
     if to_moments:
@@ -426,7 +447,7 @@ def _transform(table, to_moments):
     else:
         kappa, phi, den_kappa, den_phi, sign = dst, src, den_dst, den_src, -1
     out = {}
-    for m in range(1, table.max_order + 1):
+    for m in range(1, M + 1):
         layer = table.values[m]
         den_src[m] = scale_into(src.setdefault(m, {}) if dense else src, layer)
         shapes = first_block_shapes(m)

@@ -18,6 +18,7 @@ Coefficient families come in two flavors: c_pi (moment-side) and C_pi
 run the first-block recursion of the transforms in cumulants.py.
 """
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,6 +26,7 @@ from math import perm
 
 from .categories import O_PLUS, S_PLUS, category_contains, enumerate_category, incidence
 from .cumulants import (
+    DENSE,
     DENSE_GUARD,
     KERNEL,
     CumulantTable,
@@ -109,29 +111,29 @@ def averaged_coefficients(mt, cat, m):
     phi~(tau), the falling factorial perm(n, #tau) counting the tuples in
     the class.
     """
-    return _averaged(mt, cat, m)[0]
+    return _averaged(mt, cat, m, mt.kernel_layer(m))[0]
 
 
-def _averaged(mt, cat, m):
+def _averaged(mt, cat, m, view):
     """(coefficients, nums, c, D, L) for Weingarten averaging at order m.
 
-    nums holds the order-m entries as integers over their common
-    denominator L, and (D, num) is the integer form of Wg, so each
-    coefficient is one integer dot product c_sigma, and c^avg_sigma =
-    c_sigma / (D * L) is coefficients[sigma].
+    nums holds the entries of view = mt.kernel_layer(m), or else of the
+    dense order, as integers over their common denominator L, and (D,
+    num) is the integer form of Wg, so each coefficient is one integer
+    dot product c_sigma, and c^avg_sigma = c_sigma / (D * L).
     """
     nums = {}
-    L = scale_into(nums, mt.values[m])
+    L = scale_into(nums, mt.values[m] if view is None else view)
     basis = enumerate_category(cat, m)
     if not basis:
         return {}, nums, [], 1, L
     n = mt.n
-    if mt.repr == KERNEL:
+    if view is not None:
         sums = {tau: perm(n, num_blocks(tau)) * v for tau, v in nums.items()}
     else:
         sums = {}
-        for i, tau in tuple_kernels(m, n).items():
-            sums[tau] = sums.get(tau, 0) + nums[i]
+        for v, tau in zip(nums.values(), tuple_kernels(m, n)):
+            sums[tau] = sums.get(tau, 0) + v
     below = incidence(cat, m, n)
     S = [0] * len(basis)
     for tau, v in sums.items():
@@ -155,8 +157,8 @@ def check_invariance(mt, cat, up_to=None, tolerance=None):
     order (m > n, or one the solve rejects) is certified by Weingarten
     averaging, which raises SingularGram when the Gram matrix is
     singular and TableTooLarge when |C(m)|^2 exceeds DENSE_GUARD, and
-    each entry is compared with the re-summed coefficients. Only averaged
-    orders read or write FREEDF_CACHE_DIR entries.
+    each class (word, in a dense order without classes) is compared with
+    the re-summed coefficients. Only averaged orders use FREEDF_CACHE_DIR.
 
     With a tolerance, a nonzero residual fails only when it exceeds
     tolerance * max(1, |expected|); every residual is tested before the
@@ -176,8 +178,8 @@ def check_invariance(mt, cat, up_to=None, tolerance=None):
                 continue
             except NotInvariant:
                 pass  # averaging finds the same coefficients and the witnesses
-        layer = mt.values[m]
-        coefficients[m], nums, c, D, L = _averaged(mt, cat, m)
+        layer, view = mt.values[m], mt.kernel_layer(m)
+        coefficients[m], nums, c, D, L = _averaged(mt, cat, m, view)
         # an entry a = A / L equals the prediction P / (D * L) iff A * D == P
         below = incidence(cat, m, n)
         predicted = {}
@@ -186,23 +188,28 @@ def check_invariance(mt, cat, up_to=None, tolerance=None):
             P = sum(c[a] for a in below.get(tau, ()))
             predicted[tau] = Fraction(P, D * L)
             target[tau] = P // D if P % D == 0 else None
-        if mt.repr == KERNEL:
-            rows = ((tau, representative_tuple(tau), tau) for tau in sorted(layer))
+        if view is None:  # a dense order that is not kernel-representable
+            rows = zip(tuple_kernels(m, n), layer.items(), nums.values())
         else:
-            rows = ((tau, i, i) for i, tau in tuple_kernels(m, n).items())
-        layer_resid = {}
-        for tau, i, key in rows:
-            if nums[key] == target[tau]:
+            rows = ((tau, (representative_tuple(tau), view[tau]), nums[tau]) for tau in sorted(view))
+        layer_resid, bad = {}, []
+        for tau, (i, a), A in rows:
+            if A == target[tau]:
                 layer_resid.setdefault(tau, _ZERO)
                 continue
-            a, p = layer[key], predicted[tau]
+            p = predicted[tau]
             if not layer_resid.get(tau):
                 layer_resid[tau] = a - p
-            if tolerance is not None and abs(a - p) <= tolerance * max(1, abs(p)):
-                continue
+            if tolerance is None or abs(a - p) > tolerance * max(1, abs(p)):
+                if len(bad) < MAX_WITNESSES:  # the first 100 failing classes hold the first 100 words
+                    bad.append((tau, i, a))
+        if bad:
             failed = True
-            if len(witnesses) < MAX_WITNESSES:
-                witnesses.append((m, i, p, a))
+            if view is not None and mt.repr == DENSE:  # every word of a failing class, in product order
+                classes = {tau for tau, _, _ in bad}
+                bad = ((tau, i, a) for tau, (i, a) in zip(tuple_kernels(m, n), layer.items()) if tau in classes)
+            for tau, i, a in itertools.islice(bad, MAX_WITNESSES - len(witnesses)):
+                witnesses.append((m, i, predicted[tau], a))
         residuals[m] = layer_resid
     return InvarianceReport(
         "FAIL" if failed else "PASS", cat, n, mt.max_order, coefficients, residuals, witnesses

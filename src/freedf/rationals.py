@@ -6,6 +6,7 @@ integers render as "p/1". Parsing also accepts a bare integer string.
 """
 
 from fractions import Fraction
+from math import isfinite
 
 from .errors import BadRational
 
@@ -21,6 +22,8 @@ def parse_rational(text):
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, float):
+        if not isfinite(text):
+            raise BadRational("a non-finite number is not a rational: %r" % text)
         # float input only appears in float scalar mode; go through the
         # decimal rendering so 0.1 means the literal decimal
         return Fraction(repr(text))
@@ -58,6 +61,14 @@ def rational_reader():
         return got
 
     return read
+
+
+def read_rationals(values):
+    """map(rational_reader(), values); all-string values are parsed up front, in first-occurrence order."""
+    if set(map(type, values)) != {str}:  # lists, say, cannot be dict keys
+        return map(rational_reader(), values)
+    memo = {text: parse_rational(text) for text in dict.fromkeys(values)}
+    return map(memo.__getitem__, values)
 
 
 def rational_writer(den=1):

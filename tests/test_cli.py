@@ -406,6 +406,36 @@ def test_boolean_entry_is_a_bad_rational(tmp_path):
     assert json.loads(result.stderr)["error"] == "bad-rational"
 
 
+@pytest.mark.parametrize(
+    "args,doc",
+    [
+        (_CHECK, _edited(_DENSE, (1, {"1": "1/1", "2": float("nan")}))),
+        (_CHECK, _edited(_DENSE, (1, {"2": float("inf"), "1": "1/1"}))),
+        (_CHECK, _edited(_KERNEL, (1, {"0": float("-inf")}))),
+        (_TRANSFORM, _edited(_DENSE, (1, {"1": float("nan"), "2": "1/1"}))),
+        (_CONVERT, _edited(_PHI, (2, {"0,0": "1/1", "0,1": float("nan")}), kind="c")),
+        (_RECONSTRUCT, _edited(_PHI, (1, {"0": float("inf")}))),
+    ],
+    ids=["dense-fast-path", "dense-per-key-path", "kernel", "transform", "family-convert", "family-reconstruct"],
+)
+def test_non_finite_entry_is_a_bad_rational(tmp_path, args, doc):
+    # json.load reads NaN and Infinity; these exited with {"error": "error"}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    result = run(args + [str(path)])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr)["error"] == "bad-rational"
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+def test_non_finite_tolerance_is_a_bad_rational(tmp_path, tolerance):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_DENSE))
+    result = run(_CHECK + [str(path), "--mode", "float", "--tolerance", tolerance])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr)["error"] == "bad-rational"
+
+
 def test_matrix_size_guard_reaches_every_command(tmp_path, monkeypatch):
     wg_module = importlib.import_module("freedf.weingarten")
     monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)

@@ -1,3 +1,4 @@
+import copy
 import importlib
 import itertools
 import json
@@ -13,6 +14,8 @@ from freedf.cumulants import (
     KERNEL,
     CumulantTable,
     MomentTable,
+    Table,
+    _transform,
     cumulants_from_moments,
     first_block_shapes,
     kappa_pi,
@@ -98,10 +101,12 @@ def test_table_completeness_enforced():
 
 def test_tuple_kernels_is_kernel_of_each_tuple():
     for m, n in [(m, n) for m in range(1, 6) for n in range(1, 5)] + [(6, 3), (4, 6), (1, 1), (1, 5), (6, 6)]:
+        # a list, position k holding the class of the k-th word in product order
         got = tuple_kernels(m, n)
-        assert list(got) == list(itertools.product(range(1, n + 1), repeat=m))
+        words = list(itertools.product(range(1, n + 1), repeat=m))
+        assert isinstance(got, list) and len(got) == len(words)
         classes = {tau: tau for tau in kernel_classes(m, n)}
-        assert all(tau == kernel(i) and tau is classes[tau] for i, tau in got.items()), (m, n)
+        assert all(tau == kernel(i) and tau is classes[tau] for i, tau in zip(words, got)), (m, n)
 
 
 def test_table_keys_are_checked():
@@ -727,3 +732,119 @@ def test_value_refuses_indices_outside_the_range():
         with pytest.raises(OrderExceeded):
             t.value((9,) * 5)
         assert t.value((3, 3)) == 1 and t.value((1, 2, 2, 1)) == 1
+
+
+# ---- kernel classes of dense tables ---------------------------------------------
+
+
+def reference_kernel_view(table, m):
+    """The per-word kernel test that preceded the S_n-generator test, kept
+    as its oracle: each word's class by kernel(i), a class's value read at
+    its first word, and the first word that differs from it named."""
+    out, first = {}, {}
+    for i, v in table.values[m].items():
+        tau = kernel(i)
+        if tau not in out:
+            out[tau], first[tau] = v, i
+        elif out[tau] is not v and out[tau] != v:
+            raise NotKernelRepresentable(
+                "tuples %s and %s share kernel %s but differ: %s vs %s" % (first[tau], i, tau, out[tau], v)
+            )
+    return out
+
+
+def view_outcome(view, table, m):
+    """The witness message, or the keys in order with the identity of each value."""
+    try:
+        got = view(table, m)
+    except NotKernelRepresentable as e:
+        return str(e)
+    return [(tau, id(v)) for tau, v in got.items()]
+
+
+SPELLINGS = {Fraction(1, 2): ("1/2", "2/4", "-3/-6"), Fraction(-1): ("-1", "-1/1", "-2/2"), Fraction(0): ("0", "0/7")}
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from([(n, M) for n in range(1, 5) for M in range(1, 6)]),
+    st.sampled_from(("fractions", "ints", "texts")),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_kernel_test_matches_kernel_of_each_word(shape, kind, perturb, rng):
+    n, M = shape
+    if kind == "texts":
+        # equal values from different texts are different Fraction objects
+        cls = {m: {tau: rng.choice(sorted(SPELLINGS)) for tau in kernel_classes(m, n)} for m in range(1, M + 1)}
+        values = {
+            str(m): {render_index_tuple(i): rng.choice(SPELLINGS[cls[m][kernel(i)]]) for i in words(n, m)}
+            for m in range(1, M + 1)
+        }
+        table = table_from_json({"n": n, "max_order": M, "kind": "moments", "repr": DENSE, "values": values})
+    else:
+        pick = (lambda: rng.randint(-3, 3)) if kind == "ints" else (lambda: any_value(rng))
+        layers = {m: {tau: pick() for tau in kernel_classes(m, n)} for m in range(1, M + 1)}
+        table = MomentTable(n, M, layers, repr=KERNEL).to_dense()
+    k, shared = None, False
+    if perturb:
+        k = rng.randint(1, M)
+        i = rng.choice(words(n, k))
+        table.values[k][i] += rng.choice((1, Fraction(1, 3)))
+        shared = any(kernel(j) == kernel(i) for j in words(n, k) if j != i)
+    for m in range(1, M + 1):
+        want = view_outcome(reference_kernel_view, table, m)
+        assert view_outcome(Table.kernel_view, table, m) == want, (m, want)
+        assert (table.kernel_layer(m) is None) == isinstance(want, str) == (m == k and shared)
+
+
+def positional_transform(table, to_moments):
+    """The transform by position, forced by a copy of the table that
+    reports no kernel classes."""
+    forced = copy.copy(table)
+    forced.kernel_layer = lambda m: None
+    return _transform(forced, to_moments)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.sampled_from([(n, M) for n in range(1, 5) for M in range(0, 6) if n ** M <= 256]),
+    st.randoms(use_true_random=False),
+)
+def test_kernel_transform_of_dense_tables_matches_positional_and_reference(shape, rng):
+    n, M = shape
+    layers = {m: {tau: any_value(rng) for tau in kernel_classes(m, n)} for m in range(1, M + 1)}
+    for cls, convert, out, to_moments in (
+        (MomentTable, cumulants_from_moments, CumulantTable, False),
+        (CumulantTable, moments_from_cumulants, MomentTable, True),
+    ):
+        table = cls(n, M, layers, repr=KERNEL).to_dense()
+        assert all(table.kernel_layer(m) is not None for m in range(1, M + 1))
+        got = json.dumps(convert(table).to_json())
+        assert got == json.dumps(out(n, M, positional_transform(table, to_moments)).to_json())
+        assert got == json.dumps(out(n, M, reference_dense_transform(table, to_moments)).to_json())
+        assert got == json.dumps(convert(cls(n, M, layers, repr=KERNEL)).to_dense().to_json())
+
+
+def test_reader_edge_cases_match_per_key_reader():
+    base = random_dense_moments(2, 2, seed=4).to_json()
+    items = list(base["values"]["2"].items())
+    cases = {
+        # the whole layer in order, then one more key: map(eq, ...) alone stops before it
+        "extra-trailing-key": (items + [("2,3", "1/1")], SchemaError),
+        "extra-trailing-word": (items + [("1,1,1", "1/1")], SchemaError),
+        "extra-trailing-duplicate": (items + [("02,2", "1/1")], SchemaError),
+        "one-short": (items[:-1], IncompleteTable),
+        "respelled-duplicate": (items[:1] + [("1, 1", "5/1")] + items[1:], SchemaError),
+        "nan-fast-path": (items[:1] + [(items[1][0], float("nan"))] + items[2:], BadRational),
+        "infinity-fast-path": (items[:3] + [(items[3][0], float("inf"))], BadRational),
+        "list-fast-path": (items[:1] + [(items[1][0], [1])] + items[2:], BadRational),
+        "true-fast-path": (items[:2] + [(items[2][0], True)] + items[3:], BadRational),
+        "nan-per-key-path": ([(items[2][0], float("-inf"))] + items[:2] + items[3:], BadRational),
+    }
+    for name, (layer, error) in cases.items():
+        doc = json.loads(json.dumps(base))
+        doc["values"]["2"] = dict(layer)
+        got = read_outcome(table_from_json, doc)
+        assert got == read_outcome(reference_table_from_json, doc), name
+        assert got[0] is error, (name, got)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import random
@@ -585,3 +586,59 @@ def test_passing_orders_need_no_weingarten(monkeypatch):
     assert not report.passed and requested == [4]
     assert {w[0] for w in report.witnesses} == {4}
     assert (1, 1, 2, 2) in [w[1] for w in report.witnesses]
+
+
+# ---- dense check on kernel classes ---------------------------------------------
+
+
+def word_by_word(table):
+    """A copy of a dense table that reports no kernel classes, so that
+    check_invariance averages and compares it word by word."""
+    forced = copy.copy(table)
+    forced.kernel_layer = lambda m: None
+    forced.kernel_view = table.kernel_view
+    return forced
+
+
+# (category, n, M, order to perturb or None, what to perturb)
+DENSE_CHECK_CASES = {
+    "pass": (S_PLUS, 5, 5, None, None),
+    "pass-beyond-n": (S_PLUS, 4, 5, None, None),
+    "pass-beyond-n-pairings": (O_PLUS, 2, 6, None, None),
+    "word-at-m<=n": (S_PLUS, 4, 5, 3, "word"),
+    "word-beyond-n": (B_PLUS, 4, 5, 5, "word"),
+    "classes-at-m<=n": (S_PLUS, 5, 5, 4, "classes"),
+    "classes-beyond-n": (S_PLUS, 4, 5, 5, "classes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CHECK_CASES))
+@pytest.mark.parametrize("step", [Fraction(-5, 3), Fraction(1, 10 ** 12)])
+def test_dense_check_on_classes_matches_kernel_form_and_word_by_word(case, step):
+    cat, n, M, m, what = DENSE_CHECK_CASES[case]
+    kernel_table = generate_invariant_model(cat, n, M, seed=len(case))
+    if what == "classes":
+        # every class of three or more blocks: a kernel-representable order that fails
+        for tau in kernel_classes(m, n):
+            if num_blocks(tau) >= 3:
+                kernel_table.values[m][tau] += step
+    dense = kernel_table.to_dense()
+    if what == "word":
+        word = sorted(dense.values[m])[len(dense.values[m]) // 3]
+        dense.values[m][word] += step
+    for tolerance in (None, Fraction(1, 10 ** 9)):
+        got = check_invariance(dense, cat, tolerance=tolerance)
+        assert_same_report(got, check_invariance(word_by_word(dense), cat, tolerance=tolerance))
+        if what != "word":
+            want = check_invariance(kernel_table, cat, tolerance=tolerance)
+            assert (got.verdict, got.coefficients, got.residuals) == (want.verdict, want.coefficients, want.residuals)
+            for k in want.residuals:
+                assert list(got.residuals[k].items()) == list(want.residuals[k].items())
+        tolerable = tolerance is not None and step == Fraction(1, 10 ** 12)
+        assert got.passed == (what is None or tolerable)
+        if what == "classes" and not tolerable:
+            # the words of every class with a residual, in product order, capped at 100
+            failing = {tau for tau, r in got.residuals[m].items() if r}
+            words = [i for i in itertools.product(range(1, n + 1), repeat=m) if kernel(i) in failing]
+            assert len(words) > 100
+            assert [w[1] for w in got.witnesses] == words[:100]

@@ -76,3 +76,10 @@ def test_rational_writer_formats_each_value_once(monkeypatch):
     over = rationals.rational_writer(24)
     assert [over(x) for x in (1, -5, 12, 1, 0)] == ["1/24", "-5/24", "1/2", "1/24", "0/1"]
     assert len(seen) == 7
+
+
+def test_non_finite_numbers_are_bad_rationals():
+    # json.load reads NaN, Infinity and -Infinity; they raised a bare ValueError
+    for x in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(BadRational, match="non-finite"):
+            parse_rational(x)
