@@ -10,6 +10,7 @@ incidence index per (cat, m, n); leq scans are its oracle in the tests.
 """
 
 import enum
+from functools import cache
 
 from .errors import OrderTooLarge, UnknownCategory
 from .partitions import Partition, canonicalize, enumerate_partitions, is_noncrossing, kernel, leq, num_blocks
@@ -73,25 +74,22 @@ def _cap(cat):
     return PAIRING_CAP if cat is O_PLUS else GENERAL_CAP
 
 
-_CAT_CACHE = {}
-
-
 def enumerate_category(cat, m):
     """C(m) in RGS-lex order; m=0 gives the single empty partition."""
     if m < 0 or m > _cap(cat):
         raise OrderTooLarge("m=%d outside 0..%d for %s" % (m, _cap(cat), cat))
     if m == 0:
         return [Partition()]
-    got = _CAT_CACHE.get((cat, m))
-    if got is None:
-        if cat is O_PLUS:
-            # direct pairing enumeration keeps Catalan cost at m = 11, 12
-            # where filtering all of P(m) would touch Bell(m) partitions
-            got = tuple(sorted(_nc_pairings(m)))
-        else:
-            got = tuple(p for p in enumerate_partitions(m, cap=GENERAL_CAP) if category_contains(cat, p))
-        _CAT_CACHE[(cat, m)] = got
-    return list(got)
+    return list(_category(cat, m))
+
+
+@cache
+def _category(cat, m):
+    if cat is O_PLUS:
+        # direct pairing enumeration keeps Catalan cost at m = 11, 12
+        # where filtering all of P(m) would touch Bell(m) partitions
+        return tuple(sorted(_nc_pairings(m)))
+    return tuple(p for p in enumerate_partitions(m, cap=GENERAL_CAP) if category_contains(cat, p))
 
 
 def _nc_pairings(m):
@@ -122,9 +120,7 @@ def _nc_pairings(m):
     return result
 
 
-_INCIDENCE = {}
-
-
+@cache
 def incidence(cat, m, n):
     """{tau: [a, ...]} with C(m)[a] <= tau, over the classes with #tau <= n.
 
@@ -132,17 +128,14 @@ def incidence(cat, m, n):
     canonical tau = (rho[l] for l in sigma); tau without sigma is absent.
     At m = 0 the empty partition lies below itself.
     """
-    got = _INCIDENCE.get((cat, m, n))
-    if got is None:
-        got = {}
-        rhos = {}
-        for a, sigma in enumerate(enumerate_category(cat, m)):
-            k = num_blocks(sigma)
-            if k not in rhos:
-                rhos[k] = [rho for rho in enumerate_partitions(k) if num_blocks(rho) <= n] if k else [()]
-            for rho in rhos[k]:
-                got.setdefault(tuple(map(rho.__getitem__, sigma)), []).append(a)
-        _INCIDENCE[(cat, m, n)] = got
+    got = {}
+    rhos = {}
+    for a, sigma in enumerate(enumerate_category(cat, m)):
+        k = num_blocks(sigma)
+        if k not in rhos:
+            rhos[k] = [rho for rho in enumerate_partitions(k) if num_blocks(rho) <= n] if k else [()]
+        for rho in rhos[k]:
+            got.setdefault(tuple(map(rho.__getitem__, sigma)), []).append(a)
     return got
 
 

@@ -71,8 +71,11 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _load_table(path):
-    return table_from_json(_load_json(path))
+def _load_table(path, kind, usage):
+    table = table_from_json(_load_json(path))
+    if table.kind != kind:
+        raise SchemaError("%s expects a %s table" % (usage, kind))
+    return table
 
 
 def parse_family(doc, kinds):
@@ -190,9 +193,7 @@ def haar_cmd(category_text, n, i_text, j_text, fmt, output):
 def transform_cmd(target, input_path, output):
     """Free moment-cumulant transform, either direction."""
     want = "cumulants" if target == "moments" else "moments"
-    table = _load_table(input_path)
-    if table.kind != want:
-        raise SchemaError("transform --to %s expects a %s table" % (target, want))
+    table = _load_table(input_path, want, "transform --to " + target)
     result = (moments_from_cumulants if target == "moments" else cumulants_from_moments)(table)
     _output(json.dumps(result.to_json(), indent=2) + "\n", output)
 
@@ -210,9 +211,7 @@ def check_cmd(category_text, input_path, mode, tolerance, fmt, output):
     if mode == "rational" and tolerance is not None:
         raise SchemaError("rational mode never consults a tolerance; drop --tolerance")
     cat = parse_category(category_text)
-    table = _load_table(input_path)
-    if table.kind != "moments":
-        raise SchemaError("check expects a moments table")
+    table = _load_table(input_path, "moments", "check")
     tol = parse_rational(tolerance if tolerance is not None else 1e-9) if mode == "float" else None
     report = definetti.check_invariance(table, cat, tolerance=tol)
 
@@ -242,9 +241,7 @@ def solve_cmd(category_text, which, m, input_path, no_fallback, output):
     """Extract c_pi (from moments) or C_pi (from cumulants) at order m."""
     cat = parse_category(category_text)
     want = "moments" if which == "c" else "cumulants"
-    table = _load_table(input_path)
-    if table.kind != want:
-        raise SchemaError("solve --which %s expects a %s table" % (which, want))
+    table = _load_table(input_path, want, "solve --which " + which)
     sl = definetti.solve_moment_coefficients(table, cat, m, fallback=not no_fallback)
     doc = {
         "category": cat.value,
@@ -322,7 +319,7 @@ def reconstruct_cmd(category_text, input_path, i_text, fmt, output):
 def asymptotics_cmd(category_text, m, tolerance, input_paths, output):
     """Probe decay of the asymptotic-freeness classes across tables."""
     cat = parse_category(category_text)
-    models = [_load_table(p) for p in input_paths]
+    models = [_load_table(p, "moments", "asymptotics") for p in input_paths]
     report = definetti.asymptotic_freeness_probe(models, cat, m, tolerance=parse_rational(tolerance))
     _output(json.dumps(report.to_json(), indent=2) + "\n", output)
     if report.verdict != "DECAY":
@@ -337,7 +334,7 @@ def asymptotics_cmd(category_text, m, tolerance, input_paths, output):
 @_guarded
 def block_sum_cmd(input_path, p_text, fmt, output):
     """Normalized block sum (1/n^k) sum_{ker >= p} of the moments."""
-    table = _load_table(input_path)
+    table = _load_table(input_path, "moments", "block-sum")
     p = parse_partition(p_text)
     v = definetti.normalized_block_sum(table, p)
     doc = {"p": str(p), "n": table.n, "value": format_rational(v)}

@@ -28,7 +28,7 @@ text differs from the expected one at its position.
 
 import itertools
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from math import lcm, prod
 from operator import add, eq, itemgetter, mul
 
@@ -71,24 +71,19 @@ def kernel_classes(m, n):
     return [t for t in enumerate_partitions(m) if num_blocks(t) <= n]
 
 
-_TUPLE_KERNELS = {}
-
-
+@cache
 def tuple_kernels(m, n):
     """[ker(i) for i in [n]^m] in product order, built once per (m, n), of
     kernel_classes(m, n) objects. A word of class tau labels its blocks
     injectively; its rank is the labels' dot product with the block weights."""
-    got = _TUPLE_KERNELS.get((m, n))
-    if got is None:
-        got = [None] * n ** m
-        for tau in kernel_classes(m, n):
-            weights = [0] * num_blocks(tau)
-            for j, block in enumerate(tau):
-                weights[block] += n ** (m - 1 - j)
-            labellings = itertools.permutations(range(n), len(weights))
-            for rank in map(sum, map(map, itertools.repeat(mul), labellings, itertools.repeat(weights))):
-                got[rank] = tau
-        _TUPLE_KERNELS[(m, n)] = got
+    got = [None] * n ** m
+    for tau in kernel_classes(m, n):
+        weights = [0] * num_blocks(tau)
+        for j, block in enumerate(tau):
+            weights[block] += n ** (m - 1 - j)
+        labellings = itertools.permutations(range(n), len(weights))
+        for rank in map(sum, map(map, itertools.repeat(mul), labellings, itertools.repeat(weights))):
+            got[rank] = tau
     return got
 
 
@@ -352,15 +347,13 @@ def kappa_pi(table, p, i):
 phi_pi = kappa_pi
 
 
-_SHAPES = {}
-
-
 def _cut(positions):
     """An itemgetter that returns a key's labels at the positions, as a tuple."""
     a, b = positions[0], positions[-1] + 1
     return itemgetter(slice(a, b)) if b - a == len(positions) else itemgetter(*positions)
 
 
+@cache
 def first_block_shapes(m):
     """Every first block V of [m] (0 in V, V != [m]) with its gaps.
 
@@ -368,16 +361,13 @@ def first_block_shapes(m):
     (V, gaps, cut_V, cut_gaps): position tuples and the itemgetters that
     cut the restricted words out of a key. Built once per m.
     """
-    got = _SHAPES.get(m)
-    if got is None:
-        got = []
-        for mask in range(2 ** (m - 1) - 1):
-            V = (0,) + tuple(k for k in range(1, m) if mask >> (k - 1) & 1)
-            runs = itertools.groupby(range(m), V.__contains__)
-            gaps = tuple(tuple(run) for inside, run in runs if not inside)
-            got.append((V, gaps, _cut(V), tuple(map(_cut, gaps))))
-        got = _SHAPES[m] = tuple(got)
-    return got
+    got = []
+    for mask in range(2 ** (m - 1) - 1):
+        V = (0,) + tuple(k for k in range(1, m) if mask >> (k - 1) & 1)
+        runs = itertools.groupby(range(m), V.__contains__)
+        gaps = tuple(tuple(run) for inside, run in runs if not inside)
+        got.append((V, gaps, _cut(V), tuple(map(_cut, gaps))))
+    return tuple(got)
 
 
 class _Words(dict):

@@ -504,35 +504,30 @@ def asymptotic_freeness_probe(models, cat, m, tolerance=Fraction(1, 10 ** 9)):
     if not models:
         raise FreedfError("asymptotics probe needs at least one table")
     min_n = models[0].n
-    kernels = []
+    moments, cumulants = [], []
     for mt in models:
         if mt.max_order < m:
             raise FreedfError("table at n=%d stops at order %d, below the probed order %d" % (mt.n, mt.max_order, m))
         report = check_invariance(mt, cat, up_to=m)
         if not report.passed:
             raise NotInvariant("table at n=%d is not %s-invariant" % (mt.n, cat))
-        kernels.append(cumulants_from_moments(mt.to_kernel()))
+        moments.append(mt.to_kernel())
+        cumulants.append(cumulants_from_moments(moments[-1]))
+
+    def entry(kind, tau, tables, target):
+        pairs = [(t.n, t.values[m][tau]) for t in tables]
+        return ProbeEntry(kind, m, tau, target, pairs, _decay_verdict(pairs, target, tolerance))
+
     entries = []
     if cat is S_PLUS:
-        probe = [t for t in enumerate_category(S_PLUS, m) if 1 < num_blocks(t) <= min_n]
-        for tau in probe:
-            pairs = [(ct.n, ct.values[m][tau]) for ct in kernels]
-            entries.append(
-                ProbeEntry("cumulant", m, tau, Fraction(0), pairs, _decay_verdict(pairs, Fraction(0), tolerance))
-            )
-    else:
-        if m % 2 == 0:
-            for tau in enumerate_category(O_PLUS, m):
-                if num_blocks(tau) > min_n:
-                    continue
+        for tau in enumerate_category(S_PLUS, m):
+            if 1 < num_blocks(tau) <= min_n:
+                entries.append(entry("cumulant", tau, cumulants, _ZERO))
+    elif m % 2 == 0:
+        for tau in enumerate_category(O_PLUS, m):
+            if num_blocks(tau) <= min_n:
                 if m >= 4:
-                    pairs = [(ct.n, ct.values[m][tau]) for ct in kernels]
-                    entries.append(
-                        ProbeEntry("cumulant", m, tau, Fraction(0), pairs, _decay_verdict(pairs, Fraction(0), tolerance))
-                    )
-                pairs = [(mt.n, mt.kernel_view(m)[tau]) for mt in models]
-                entries.append(
-                    ProbeEntry("moment", m, tau, Fraction(1), pairs, _decay_verdict(pairs, Fraction(1), tolerance))
-                )
+                    entries.append(entry("cumulant", tau, cumulants, _ZERO))
+                entries.append(entry("moment", tau, moments, _ONE))
     verdict = "DECAY" if all(e.verdict == "DECAY" for e in entries) else "NO-DECAY"
     return ProbeReport(cat, m, entries, verdict)

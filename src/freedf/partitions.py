@@ -11,6 +11,8 @@ elements of [m] ("{{1,2},{3}}") and for index-tuple entries ("1,3,1,2");
 RGS strings ("0,0,1") are the canonical interchange form.
 """
 
+from functools import cache
+
 from .errors import BadSubset, EmptyInput, OrderTooLarge, SchemaError, SizeMismatch
 
 DEFAULT_CAP = 10
@@ -118,7 +120,7 @@ def check_indices(entries, n=None):
     """entries, or SchemaError at the first one outside [1, n]."""
     for v in entries:
         if v < 1 or (n is not None and v > n):
-            raise SchemaError("index entry out of range [1,%s]: %d" % (n if n else "inf", v))
+            raise SchemaError("index entry out of range [1,%s]: %d" % ("inf" if n is None else n, v))
     return entries
 
 
@@ -226,27 +228,25 @@ def restrict(p, positions):
     return canonicalize(p[v] for v in positions)
 
 
-_ENUM_CACHE = {}
-
-
 def enumerate_partitions(m, cap=DEFAULT_CAP):
     """All of P(m) in RGS-lex order (this order is used everywhere)."""
     if m < 1 or m > cap:
         raise OrderTooLarge("m=%d outside 1..%d" % (m, cap))
-    got = _ENUM_CACHE.get(m)
-    if got is None:
-        out = []
-        labels = [0] * m
+    return list(_partitions(m))
 
-        def rec(pos, top):
-            if pos == m:
-                out.append(Partition(labels))
-                return
-            for lab in range(top + 2):
-                labels[pos] = lab
-                rec(pos + 1, top if lab <= top else lab)
 
-        rec(1, 0)
-        got = tuple(out)
-        _ENUM_CACHE[m] = got
-    return list(got)
+@cache
+def _partitions(m):
+    out = []
+    labels = [0] * m
+
+    def rec(pos, top):
+        if pos == m:
+            out.append(Partition(labels))
+            return
+        for lab in range(top + 2):
+            labels[pos] = lab
+            rec(pos + 1, top if lab <= top else lab)
+
+    rec(1, 0)
+    return tuple(out)

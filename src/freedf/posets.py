@@ -6,6 +6,7 @@ Two accelerated paths exist: the closed form on the full partition
 lattice P(m), and a cached column mu(., 1_m) on the non-crossing NC(m).
 """
 
+from functools import cache
 from math import factorial
 
 from .errors import NotComparable, NotInPoset
@@ -77,23 +78,15 @@ def mobius_to_top_full_lattice(p):
     return (1 if (k - 1) % 2 == 0 else -1) * factorial(k - 1)
 
 
-_CAT_POSETS = {}
-
-
+@cache
 def category_poset(cat, m):
     """The induced poset on C(m), built once per (cat, m)."""
     from .categories import enumerate_category
 
-    got = _CAT_POSETS.get((cat, m))
-    if got is None:
-        got = FinitePoset(enumerate_category(cat, m))
-        _CAT_POSETS[(cat, m)] = got
-    return got
+    return FinitePoset(enumerate_category(cat, m))
 
 
-_NC_TOP_COLUMNS = {}
-
-
+@cache
 def mobius_to_top_nc(m):
     """The column mu_{NC(m)}(., 1_m) as a dict over NC(m).
 
@@ -102,22 +95,16 @@ def mobius_to_top_nc(m):
     the Moebius function of the NC(m) lattice itself; it differs from
     mobius_to_top_full_lattice from m = 4 on.
     """
-    got = _NC_TOP_COLUMNS.get(m)
-    if got is None:
-        from .categories import S_PLUS, enumerate_category
+    from .categories import S_PLUS, enumerate_category
 
-        elems = enumerate_category(S_PLUS, m)
-        top = one_block(m)
-        by_blocks = {}
-        for p in elems:
-            by_blocks.setdefault(num_blocks(p), []).append(p)
-        col = {top: 1}
-        for nb in sorted(by_blocks):
-            if nb == 1:
-                continue
-            coarser = [q for k in range(1, nb) for q in by_blocks.get(k, ())]
-            for p in by_blocks[nb]:
-                col[p] = -sum(col[q] for q in coarser if leq(p, q))
-        got = col
-        _NC_TOP_COLUMNS[m] = got
-    return got
+    by_blocks = {}
+    for p in enumerate_category(S_PLUS, m):
+        by_blocks.setdefault(num_blocks(p), []).append(p)
+    col = {one_block(m): 1}
+    for nb in sorted(by_blocks):
+        if nb == 1:
+            continue
+        coarser = [q for k in range(1, nb) for q in by_blocks.get(k, ())]
+        for p in by_blocks[nb]:
+            col[p] = -sum(col[q] for q in coarser if leq(p, q))
+    return col

@@ -46,8 +46,8 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import chain
+from functools import cache, cached_property, partial
+from itertools import chain, count
 from math import gcd, isqrt, perm, prod
 
 from .errors import FreedfError, NotInPoset, SchemaError, SingularGram, SizeMismatch, TableTooLarge
@@ -126,7 +126,6 @@ def gram(cat, m, n):
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PRIMES = []
 
 
 def _is_prime(q):
@@ -153,15 +152,15 @@ def _is_prime(q):
 
 def _primes():
     """The primes below 2^62 in decreasing order, a fixed sequence."""
-    k = 0
-    while True:
-        if k == len(_PRIMES):
-            q = _PRIMES[-1] - 2 if _PRIMES else (1 << 62) - 1
-            while not _is_prime(q):
-                q -= 2
-            _PRIMES.append(q)
-        yield _PRIMES[k]
-        k += 1
+    return map(_prime, count())
+
+
+@cache
+def _prime(k):
+    q = _prime(k - 1) - 2 if k else (1 << 62) - 1
+    while not _is_prime(q):
+        q -= 2
+    return q
 
 
 def _pack(row, B):
@@ -307,14 +306,11 @@ def _ff_inverse(A, is_inverse):
             return got
 
 
-_WG_CACHE = {}
-
-
+@cache
 def weingarten(cat, m, n):
+    """W(cat, m, n), read from the disk cache or computed, once per argument
+    in a process; weingarten.cache_clear() drops the memoised tables."""
     _check_size(cat, m, n)
-    got = _WG_CACHE.get((cat, m, n))
-    if got is not None:
-        return got
     got = _load_cached(cat, m, n)
     if got is None:
         g = gram(cat, m, n)
@@ -323,7 +319,6 @@ def weingarten(cat, m, n):
             raise SingularGram(cat, m, n)
         got = WeingartenTable(cat, m, n, g.basis, *res)
         _store_cached(got)
-    _WG_CACHE[(cat, m, n)] = got
     return got
 
 

@@ -43,14 +43,14 @@ from freedf.partitions import (
     one_block,
 )
 from freedf.posets import FinitePoset, mobius_to_top_full_lattice
-from freedf.weingarten import _WG_CACHE, verify_inverse, weingarten, wg_scaled
+from freedf.weingarten import verify_inverse, weingarten, wg_scaled
 
 ALL_CATS = (O_PLUS, S_PLUS, H_PLUS, B_PLUS)
 
 
 def test_criterion_1_exact_weingarten():
     start = time.perf_counter()
-    _WG_CACHE.clear()
+    weingarten.cache_clear()
     for cat in ALL_CATS:
         for m in range(1, 7):
             for n in range(4, 9):

@@ -12,7 +12,7 @@ import hashlib
 
 from test_cli_golden import CASES, _write_inputs, run_case
 
-from freedf.weingarten import _WG_CACHE
+from freedf.weingarten import weingarten
 
 CACHED = ("weingarten-s+", "weingarten-text", "haar", "check-fail")
 S_PLUS_4_3_SHA256 = "c18aa5bf5814c60b817a9805666dd121d2f75f42f901dfa0a32560a0510b7e18"
@@ -28,7 +28,7 @@ def test_golden_output_through_disk_cache(tmp_path, monkeypatch):
     assert len(cases) == len(CACHED)
     try:
         for phase in ("cold", "warm"):
-            _WG_CACHE.clear()
+            weingarten.cache_clear()
             for name, args, code, digest in cases:
                 assert run_case(args, inputs) == (code, digest), (phase, name)
             if phase == "cold":
@@ -36,4 +36,4 @@ def test_golden_output_through_disk_cache(tmp_path, monkeypatch):
         assert {p.name: p.read_bytes() for p in cache.iterdir()} == written
         assert hashlib.sha256(written["s+_4_3.json"]).hexdigest() == S_PLUS_4_3_SHA256
     finally:
-        _WG_CACHE.clear()
+        weingarten.cache_clear()

@@ -280,6 +280,21 @@ def test_asymptotics_no_decay_exits_1(tmp_path):
     assert json.loads(result.output)["verdict"] == "NO-DECAY"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["block-sum", "--p", "0,0,1,1", "--input"], ["asymptotics", "--category", "o+", "--m", "4", "--inputs"]],
+    ids=lambda args: args[0],
+)
+def test_moment_commands_refuse_a_cumulants_table(tmp_path, args):
+    # read as moments, the semicircular cumulants gave block-sum 0/1 with exit 0
+    moments, cumulants = tmp_path / "sc.json", tmp_path / "sc.cum.json"
+    run_checked(["semicircular", "--n", "4", "--max-order", "4", "--output", str(moments)])
+    run_checked(["transform", "--to", "cumulants", "--input", str(moments), "--output", str(cumulants)])
+    result = run(args + [str(cumulants)])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert json.loads(result.stderr) == {"error": "schema-error", "message": "%s expects a moments table" % args[0]}
+
+
 def test_outputs_are_deterministic(tmp_path):
     cases = [
         ["partitions", "--m", "4", "--category", "s+"],
@@ -292,9 +307,9 @@ def test_outputs_are_deterministic(tmp_path):
 
 
 def _fresh_process_cache():
-    from freedf.weingarten import _WG_CACHE
+    from freedf.weingarten import weingarten
 
-    _WG_CACHE.clear()
+    weingarten.cache_clear()
 
 
 def test_disk_cache_entries_are_validated(tmp_path, monkeypatch):
@@ -439,7 +454,7 @@ def test_non_finite_tolerance_is_a_bad_rational(tmp_path, tolerance):
 def test_matrix_size_guard_reaches_every_command(tmp_path, monkeypatch):
     wg_module = importlib.import_module("freedf.weingarten")
     monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)
-    monkeypatch.setattr(wg_module, "_WG_CACHE", {})
+    wg_module.weingarten.cache_clear()
     # |C(6)| = 132 for s+; orders up to 5 stay below the lowered guard
     monkeypatch.setattr(wg_module, "DENSE_GUARD", 132 * 132 - 1)
     table = tmp_path / "s4.json"

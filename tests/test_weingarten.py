@@ -14,7 +14,6 @@ from freedf.errors import NotInPoset, SchemaError, SingularGram, SizeMismatch, T
 from freedf.partitions import join_num_blocks, one_block, parse_partition, singletons
 from freedf.rationals import format_rational
 from freedf.weingarten import (
-    _WG_CACHE,
     _ff_inverse,
     _inverse_mod,
     _is_gram_inverse,
@@ -335,6 +334,9 @@ def test_haar_refuses_out_of_range_indices():
         with pytest.raises(SchemaError) as exc:
             haar_moment(O_PLUS, 3, i, j)
         assert str(exc.value).startswith("index entry out of range [1,3]")
+    # n = 0 admits no index at all; the range is not unbounded
+    with pytest.raises(SchemaError, match=r"^index entry out of range \[1,0\]: 1$"):
+        haar_moment(O_PLUS, 0, (1, 1), (1, 1))
     assert haar_moment(O_PLUS, 3, (3, 3), (2, 2)) == Fraction(1, 3)
 
 
@@ -369,11 +371,11 @@ def test_matrix_json_shape():
 
 def test_disk_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("FREEDF_CACHE_DIR", str(tmp_path))
-    _WG_CACHE.clear()
+    weingarten.cache_clear()
     first = weingarten(S_PLUS, 3, 4)
     path = tmp_path / "s+_3_4.json"
     assert path.exists()
-    _WG_CACHE.clear()
+    weingarten.cache_clear()
     parsed = []
     real_parse = rationals.parse_rational
     monkeypatch.setattr(rationals, "parse_rational", lambda v: parsed.append(v) or real_parse(v))
@@ -385,32 +387,32 @@ def test_disk_cache(tmp_path, monkeypatch):
     assert sorted(parsed) == sorted(set(texts)) and len(parsed) < len(texts)
     flat = [v for row in second.entries for v in row]
     assert all(flat[texts.index(t)] is v for t, v in zip(texts, flat))
-    _WG_CACHE.clear()
+    weingarten.cache_clear()
     # a corrupt cache entry is ignored and rebuilt
     path.write_text("not json")
     third = weingarten(S_PLUS, 3, 4)
     assert third.entries == first.entries
-    _WG_CACHE.clear()
+    weingarten.cache_clear()
 
 
 def test_loaded_table_holds_the_computed_integer_form(tmp_path, monkeypatch):
     monkeypatch.setenv("FREEDF_CACHE_DIR", str(tmp_path))
     for cat, m, n in ((S_PLUS, 4, 5), (O_PLUS, 6, 3), (B_PLUS, 5, 4), (O_PLUS, 3, 4)):
-        _WG_CACHE.clear()
+        weingarten.cache_clear()
         computed = weingarten(cat, m, n)
-        _WG_CACHE.clear()
+        weingarten.cache_clear()
         loaded = weingarten(cat, m, n)
         assert loaded is not computed
         assert (loaded.D, loaded.num) == (computed.D, computed.num), (cat, m, n)
         assert gcd(loaded.D, *(x for row in loaded.num for x in row)) == 1
         assert loaded.entries == computed.entries
-    _WG_CACHE.clear()
+    weingarten.cache_clear()
 
 
 def test_cache_file_of_the_wrong_shape_is_rebuilt(tmp_path, monkeypatch):
     # the exact product check alone would accept a trailing row or column
     monkeypatch.setenv("FREEDF_CACHE_DIR", str(tmp_path))
-    _WG_CACHE.clear()
+    weingarten.cache_clear()
     want = weingarten(S_PLUS, 3, 4)
     path = tmp_path / "s+_3_4.json"
     good = json.loads(path.read_text())
@@ -421,11 +423,11 @@ def test_cache_file_of_the_wrong_shape_is_rebuilt(tmp_path, monkeypatch):
         good["entries"][:-1],
     ):
         path.write_text(json.dumps(dict(good, entries=entries)))
-        _WG_CACHE.clear()
+        weingarten.cache_clear()
         got = weingarten(S_PLUS, 3, 4)
         assert (got.D, got.num) == (want.D, want.num)
         assert json.loads(path.read_text()) == good
-    _WG_CACHE.clear()
+    weingarten.cache_clear()
 
 
 def test_tables_are_integers_over_one_denominator(monkeypatch):
@@ -452,8 +454,8 @@ def test_weingarten_process_cache():
 
 def test_size_guard_raises_before_allocating(monkeypatch):
     monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)
-    monkeypatch.setattr(categories, "_INCIDENCE", {})
-    monkeypatch.setattr(wg_module, "_WG_CACHE", {})
+    categories.incidence.cache_clear()
+    weingarten.cache_clear()
     # |C(6)| = 132 for s+
     monkeypatch.setattr(wg_module, "DENSE_GUARD", 132 * 132 - 1)
     for build in (gram, weingarten):
@@ -462,7 +464,7 @@ def test_size_guard_raises_before_allocating(monkeypatch):
     with pytest.raises(TableTooLarge):
         haar_moment(S_PLUS, 4, (1,) * 6, (1,) * 6)
     # the (s+, 6, 4) incidence index was never built
-    assert categories._INCIDENCE == {} and wg_module._WG_CACHE == {}
+    assert categories.incidence.cache_info().currsize == 0 and weingarten.cache_info().currsize == 0
     monkeypatch.setattr(wg_module, "DENSE_GUARD", 132 * 132)
     assert len(gram(S_PLUS, 6, 4).basis) == 132
 
@@ -470,15 +472,15 @@ def test_size_guard_raises_before_allocating(monkeypatch):
 def test_size_guard_comes_before_the_disk_cache(tmp_path, monkeypatch):
     # a valid cache entry is still refused once the guard is lowered
     monkeypatch.setenv("FREEDF_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(wg_module, "_WG_CACHE", {})
+    weingarten.cache_clear()
     weingarten(S_PLUS, 4, 3)
     assert (tmp_path / "s+_4_3.json").exists()
-    monkeypatch.setattr(wg_module, "_WG_CACHE", {})
+    weingarten.cache_clear()
     # |C(4)| = 14 for s+
     monkeypatch.setattr(wg_module, "DENSE_GUARD", 14 * 14 - 1)
     with pytest.raises(TableTooLarge):
         weingarten(S_PLUS, 4, 3)
-    assert wg_module._WG_CACHE == {}
+    assert weingarten.cache_info().currsize == 0
 
 
 def test_negative_n_is_refused():
