@@ -2,11 +2,17 @@
 
 Subcommands mirror the library: partitions, gram, weingarten, haar,
 transform, check, solve, convert, generate, semicircular, reconstruct,
-asymptotics, block-sum. Everything prints deterministic JSON (or an
-equally deterministic text rendering); rationals are "p/q" strings.
+asymptotics, block-sum. Each command returns one JSON document, and one
+wrapper, _emits, writes it: as deterministic JSON (indent 2), or with
+`--format text` as a terse rendering on the seven commands that have
+one (partitions, gram, weingarten, haar, check, reconstruct, block-sum).
+`--output FILE` writes the same bytes to FILE instead of stdout.
+Rationals are "p/q" strings.
 
-Exit codes: 0 success or PASS, 1 a FAIL verdict, 2 usage or computation
-errors (the latter with a machine-readable JSON object on stderr).
+Exit codes: 0 success or PASS; 1 a FAIL verdict (check not PASS,
+asymptotics not DECAY), after the output is written; 2 usage or
+computation errors, an unwritable --output included (the latter with a
+machine-readable JSON object on stderr).
 """
 
 import functools
@@ -37,33 +43,41 @@ from .rationals import format_rational, parse_rational
 from .weingarten import gram, haar_moment, matrix_json, weingarten
 
 
-def _render(doc, fmt, text_fn):
-    if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
-    return text_fn(doc)
+def _emits(text=None, failed=None):
+    """Give a command its output path.
 
+    The command body returns its JSON document. The wrapper adds
+    `--output` (and `--format` when the command has a text rendering),
+    writes the document to stdout or to the file, exits 2 with a JSON
+    error on stderr when the body or the write fails, and exits 1 after
+    writing when failed(doc) holds. Apply it just above the def, so
+    these options come last.
+    """
 
-def _output(payload, output):
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        click.echo(payload, nl=False)
+    def wrap(fn):
+        @functools.wraps(fn)
+        def cmd(fmt="json", output=None, **kwargs):
+            try:
+                doc = fn(**kwargs)
+                payload = text(doc) if fmt == "text" else json.dumps(doc, indent=2) + "\n"
+                if output:
+                    with open(output, "w", encoding="utf-8") as fh:
+                        fh.write(payload)
+                else:
+                    click.echo(payload, nl=False)
+            except (FreedfError, ValueError, OSError) as e:  # json.JSONDecodeError is a ValueError
+                error = e.payload() if isinstance(e, FreedfError) else {"error": "error", "message": str(e)}
+                sys.stderr.write(json.dumps(error) + "\n")
+                sys.exit(2)
+            if failed and failed(doc):
+                sys.exit(1)
 
+        cmd = click.option("--output", default=None)(cmd)
+        if text:
+            cmd = click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")(cmd)
+        return cmd
 
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except FreedfError as e:
-            sys.stderr.write(json.dumps(e.payload()) + "\n")
-            sys.exit(2)
-        except (ValueError, OSError, json.JSONDecodeError) as e:
-            sys.stderr.write(json.dumps({"error": "error", "message": str(e)}) + "\n")
-            sys.exit(2)
-
-    return wrapper
+    return wrap
 
 
 def _load_json(path):
@@ -109,6 +123,25 @@ def family_json(cat, kind, slices):
     }
 
 
+def _partitions_text(doc):
+    return "".join("%s  %s\n" % (p["rgs"], p["blocks"]) for p in doc["partitions"])
+
+
+def _matrix_text(doc):
+    rows = [" ".join(row) for row in doc["entries"]]
+    return "\n".join(["basis: " + " ".join(doc["basis"])] + rows) + "\n"
+
+
+def _check_text(doc):
+    head = "%(verdict)s category=%(category)s n=%(n)d max_order=%(max_order)d" % doc
+    witness = "witness m=%(m)d tuple=%(tuple)s expected=%(expected)s actual=%(actual)s"
+    return "\n".join([head] + [witness % w for w in doc["witnesses"]]) + "\n"
+
+
+def _value_text(doc):
+    return doc["value"] + "\n"
+
+
 @click.group()
 def main():
     """Exact combinatorics of free easy quantum groups."""
@@ -118,10 +151,8 @@ def main():
 @click.option("--m", type=int, required=True)
 @click.option("--category", "category_text", default=None, help="restrict to C(m) of o+/s+/h+/b+")
 @click.option("--noncrossing", is_flag=True, help="restrict to NC(m)")
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-@click.option("--output", default=None)
-@_guarded
-def partitions_cmd(m, category_text, noncrossing, fmt, output):
+@_emits(text=_partitions_text)
+def partitions_cmd(m, category_text, noncrossing):
     """Enumerate P(m), NC(m), or C(m) in RGS-lex order."""
     if category_text:
         items = enumerate_category(parse_category(category_text), m)
@@ -129,34 +160,21 @@ def partitions_cmd(m, category_text, noncrossing, fmt, output):
         items = enumerate_partitions(m)
         if noncrossing:
             items = [p for p in items if is_noncrossing(p)]
-    doc = {
+    return {
         "m": m,
         "count": len(items),
         "partitions": [{"rgs": str(p), "blocks": format_blocks(p)} for p in items],
     }
-    text = "".join("%s  %s\n" % (str(p), format_blocks(p)) for p in items)
-    _output(_render(doc, fmt, lambda d: text), output)
 
 
 def _matrix_cmd(kind):
     @click.option("--category", "category_text", required=True)
     @click.option("--m", type=int, required=True)
     @click.option("--n", type=int, required=True)
-    @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-    @click.option("--output", default=None)
-    @_guarded
-    def cmd(category_text, m, n, fmt, output):
+    @_emits(text=_matrix_text)
+    def cmd(category_text, m, n):
         cat = parse_category(category_text)
-        table = gram(cat, m, n) if kind == "gram" else weingarten(cat, m, n)
-        doc = matrix_json(table)
-
-        def text(d):
-            lines = ["basis: %s" % " ".join(d["basis"])]
-            for row in d["entries"]:
-                lines.append(" ".join(row))
-            return "\n".join(lines) + "\n"
-
-        _output(_render(doc, fmt, text), output)
+        return matrix_json(gram(cat, m, n) if kind == "gram" else weingarten(cat, m, n))
 
     cmd.__name__ = kind + "_cmd"
     cmd.__doc__ = "Exact %s matrix over C(m)." % kind
@@ -172,30 +190,23 @@ main.command("weingarten")(_matrix_cmd("weingarten"))
 @click.option("--n", type=int, required=True)
 @click.option("--i", "i_text", required=True)
 @click.option("--j", "j_text", required=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-@click.option("--output", default=None)
-@_guarded
-def haar_cmd(category_text, n, i_text, j_text, fmt, output):
+@_emits(text=_value_text)
+def haar_cmd(category_text, n, i_text, j_text):
     """Haar-state moment of generators via the Weingarten formula."""
     cat = parse_category(category_text)
-    i = parse_index_tuple(i_text, n)
-    j = parse_index_tuple(j_text, n)
-    v = haar_moment(cat, n, i, j)
-    doc = {"category": cat.value, "n": n, "i": i_text, "j": j_text, "value": format_rational(v)}
-    _output(_render(doc, fmt, lambda d: d["value"] + "\n"), output)
+    v = haar_moment(cat, n, parse_index_tuple(i_text, n), parse_index_tuple(j_text, n))
+    return {"category": cat.value, "n": n, "i": i_text, "j": j_text, "value": format_rational(v)}
 
 
 @main.command("transform")
 @click.option("--to", "target", type=click.Choice(["moments", "cumulants"]), required=True)
 @click.option("--input", "input_path", required=True)
-@click.option("--output", default=None)
-@_guarded
-def transform_cmd(target, input_path, output):
+@_emits()
+def transform_cmd(target, input_path):
     """Free moment-cumulant transform, either direction."""
     want = "cumulants" if target == "moments" else "moments"
     table = _load_table(input_path, want, "transform --to " + target)
-    result = (moments_from_cumulants if target == "moments" else cumulants_from_moments)(table)
-    _output(json.dumps(result.to_json(), indent=2) + "\n", output)
+    return (moments_from_cumulants if target == "moments" else cumulants_from_moments)(table).to_json()
 
 
 @main.command("check")
@@ -203,30 +214,15 @@ def transform_cmd(target, input_path, output):
 @click.option("--input", "input_path", required=True)
 @click.option("--mode", type=click.Choice(["rational", "float"]), default="rational")
 @click.option("--tolerance", type=float, default=None, help="relative tolerance, float mode only")
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-@click.option("--output", default=None)
-@_guarded
-def check_cmd(category_text, input_path, mode, tolerance, fmt, output):
+@_emits(text=_check_text, failed=lambda doc: doc["verdict"] != "PASS")
+def check_cmd(category_text, input_path, mode, tolerance):
     """Certify G_n-invariance. Exit 0 on PASS, 1 on FAIL."""
     if mode == "rational" and tolerance is not None:
         raise SchemaError("rational mode never consults a tolerance; drop --tolerance")
     cat = parse_category(category_text)
     table = _load_table(input_path, "moments", "check")
     tol = parse_rational(tolerance if tolerance is not None else 1e-9) if mode == "float" else None
-    report = definetti.check_invariance(table, cat, tolerance=tol)
-
-    def text(d):
-        lines = ["%s category=%s n=%d max_order=%d" % (d["verdict"], d["category"], d["n"], d["max_order"])]
-        for w in d["witnesses"]:
-            lines.append(
-                "witness m=%d tuple=%s expected=%s actual=%s"
-                % (w["m"], w["tuple"], w["expected"], w["actual"])
-            )
-        return "\n".join(lines) + "\n"
-
-    _output(_render(report.to_json(), fmt, text), output)
-    if not report.passed:
-        sys.exit(1)
+    return definetti.check_invariance(table, cat, tolerance=tol).to_json()
 
 
 @main.command("solve")
@@ -235,36 +231,32 @@ def check_cmd(category_text, input_path, mode, tolerance, fmt, output):
 @click.option("--m", type=int, required=True)
 @click.option("--input", "input_path", required=True)
 @click.option("--no-fallback", is_flag=True, help="refuse the m > n fallback solve")
-@click.option("--output", default=None)
-@_guarded
-def solve_cmd(category_text, which, m, input_path, no_fallback, output):
+@_emits()
+def solve_cmd(category_text, which, m, input_path, no_fallback):
     """Extract c_pi (from moments) or C_pi (from cumulants) at order m."""
     cat = parse_category(category_text)
     want = "moments" if which == "c" else "cumulants"
     table = _load_table(input_path, want, "solve --which " + which)
     sl = definetti.solve_moment_coefficients(table, cat, m, fallback=not no_fallback)
-    doc = {
+    return {
         "category": cat.value,
         "m": m,
         "which": which,
         "unique": sl.unique,
         "coefficients": {str(p): format_rational(v) for p, v in sorted(sl.values.items())},
     }
-    _output(json.dumps(doc, indent=2) + "\n", output)
 
 
 @main.command("convert")
 @click.option("--direction", type=click.Choice(["c-to-C", "C-to-c"]), required=True)
 @click.option("--input", "input_path", required=True)
-@click.option("--output", default=None)
-@_guarded
-def convert_cmd(direction, input_path, output):
+@_emits()
+def convert_cmd(direction, input_path):
     """Convert between the c_pi and C_pi coefficient families."""
     source, target = direction.split("-to-")
     cat, M, family = parse_family(_load_json(input_path), kinds=(source,))
     convert = definetti.C_from_c if source == "c" else definetti.c_from_C
-    out = {m: convert(family, cat, m) for m in range(1, M + 1)}
-    _output(json.dumps(family_json(cat, target, out), indent=2) + "\n", output)
+    return family_json(cat, target, {m: convert(family, cat, m) for m in range(1, M + 1)})
 
 
 @main.command("generate")
@@ -272,41 +264,32 @@ def convert_cmd(direction, input_path, output):
 @click.option("--n", type=int, required=True)
 @click.option("--max-order", "max_order", type=int, required=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--output", default=None)
-@_guarded
-def generate_cmd(category_text, n, max_order, seed, output):
+@_emits()
+def generate_cmd(category_text, n, max_order, seed):
     """A seeded G_n-invariant moment table (kernel representation)."""
-    cat = parse_category(category_text)
-    mt = definetti.generate_invariant_model(cat, n, max_order, seed)
-    _output(json.dumps(mt.to_json(), indent=2) + "\n", output)
+    return definetti.generate_invariant_model(parse_category(category_text), n, max_order, seed).to_json()
 
 
 @main.command("semicircular")
 @click.option("--n", type=int, required=True)
 @click.option("--max-order", "max_order", type=int, required=True)
-@click.option("--output", default=None)
-@_guarded
-def semicircular_cmd(n, max_order, output):
+@_emits()
+def semicircular_cmd(n, max_order):
     """The standard semicircular family as a kernel moment table."""
-    mt = definetti.semicircular_model(n, max_order)
-    _output(json.dumps(mt.to_json(), indent=2) + "\n", output)
+    return definetti.semicircular_model(n, max_order).to_json()
 
 
 @main.command("reconstruct")
 @click.option("--category", "category_text", required=True)
 @click.option("--input", "input_path", required=True, help="phi~ family JSON (kind 'phi')")
 @click.option("--i", "i_text", required=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-@click.option("--output", default=None)
-@_guarded
-def reconstruct_cmd(category_text, input_path, i_text, fmt, output):
+@_emits(text=_value_text)
+def reconstruct_cmd(category_text, input_path, i_text):
     """Moment of the infinite invariant sequence at an index tuple."""
     cat = parse_category(category_text)
     _, _, family = parse_family(_load_json(input_path), kinds=("phi",))
-    i = parse_index_tuple(i_text)
-    v = definetti.reconstruct_infinite(family, cat, i)
-    doc = {"category": cat.value, "i": i_text, "value": format_rational(v)}
-    _output(_render(doc, fmt, lambda d: d["value"] + "\n"), output)
+    v = definetti.reconstruct_infinite(family, cat, parse_index_tuple(i_text))
+    return {"category": cat.value, "i": i_text, "value": format_rational(v)}
 
 
 @main.command("asymptotics")
@@ -314,31 +297,23 @@ def reconstruct_cmd(category_text, input_path, i_text, fmt, output):
 @click.option("--m", type=int, required=True)
 @click.option("--tolerance", default="1/1000000000", help="rational tolerance 'p/q'")
 @click.option("--inputs", "input_paths", multiple=True, required=True)
-@click.option("--output", default=None)
-@_guarded
-def asymptotics_cmd(category_text, m, tolerance, input_paths, output):
+@_emits(failed=lambda doc: doc["verdict"] != "DECAY")
+def asymptotics_cmd(category_text, m, tolerance, input_paths):
     """Probe decay of the asymptotic-freeness classes across tables."""
     cat = parse_category(category_text)
     models = [_load_table(p, "moments", "asymptotics") for p in input_paths]
-    report = definetti.asymptotic_freeness_probe(models, cat, m, tolerance=parse_rational(tolerance))
-    _output(json.dumps(report.to_json(), indent=2) + "\n", output)
-    if report.verdict != "DECAY":
-        sys.exit(1)
+    return definetti.asymptotic_freeness_probe(models, cat, m, tolerance=parse_rational(tolerance)).to_json()
 
 
 @main.command("block-sum")
 @click.option("--input", "input_path", required=True)
 @click.option("--p", "p_text", required=True, help="non-crossing pairing, RGS form")
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-@click.option("--output", default=None)
-@_guarded
-def block_sum_cmd(input_path, p_text, fmt, output):
+@_emits(text=_value_text)
+def block_sum_cmd(input_path, p_text):
     """Normalized block sum (1/n^k) sum_{ker >= p} of the moments."""
     table = _load_table(input_path, "moments", "block-sum")
     p = parse_partition(p_text)
-    v = definetti.normalized_block_sum(table, p)
-    doc = {"p": str(p), "n": table.n, "value": format_rational(v)}
-    _output(_render(doc, fmt, lambda d: d["value"] + "\n"), output)
+    return {"p": str(p), "n": table.n, "value": format_rational(definetti.normalized_block_sum(table, p))}
 
 
 if __name__ == "__main__":

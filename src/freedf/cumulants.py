@@ -172,6 +172,8 @@ class Table:
         For dense tables this requires kernel representability and
         raises NotKernelRepresentable with a witness pair otherwise.
         """
+        if not 1 <= m <= self.max_order:
+            raise OrderExceeded("order %d outside the table's orders 1..%d" % (m, self.max_order))
         view = self.kernel_layer(m)
         if view is None:
             first = {}

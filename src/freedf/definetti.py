@@ -496,10 +496,13 @@ def asymptotic_freeness_probe(models, cat, m, tolerance=Fraction(1, 10 ** 9)):
     over non-crossing tau with more than one block (mixed cumulants must
     vanish for asymptotic freeness). For o+ they are the pair-kernel
     cumulants at orders 2k >= 4 (target 0) and the pair-kernel moments
-    (target 1).
+    (target 1). Each table is certified and transformed up to order m
+    only, so its higher orders need not be invariant.
     """
     if cat not in (S_PLUS, O_PLUS):
         raise FreedfError("asymptotics probe supports categories s+ and o+ only")
+    if m < 1:
+        raise FreedfError("asymptotics probe needs an order m >= 1, got %d" % m)
     models = sorted(models, key=lambda t: t.n)
     if not models:
         raise FreedfError("asymptotics probe needs at least one table")
@@ -511,7 +514,7 @@ def asymptotic_freeness_probe(models, cat, m, tolerance=Fraction(1, 10 ** 9)):
         report = check_invariance(mt, cat, up_to=m)
         if not report.passed:
             raise NotInvariant("table at n=%d is not %s-invariant" % (mt.n, cat))
-        moments.append(mt.to_kernel())
+        moments.append(MomentTable(mt.n, m, {k: mt.kernel_view(k) for k in range(1, m + 1)}, repr=KERNEL))
         cumulants.append(cumulants_from_moments(moments[-1]))
 
     def entry(kind, tau, tables, target):

@@ -295,6 +295,32 @@ def test_moment_commands_refuse_a_cumulants_table(tmp_path, args):
     assert json.loads(result.stderr) == {"error": "schema-error", "message": "%s expects a moments table" % args[0]}
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["solve", "--category", "s+", "--which", "c", "--m", m] for m in ("5", "0", "-1")]
+    + [["block-sum", "--p", "0,0,1,1"]],
+    ids=["solve-m5", "solve-m0", "solve-m-1", "block-sum"],
+)
+def test_orders_outside_the_table_exit_2(tmp_path, args):
+    # these raised KeyError: exit 1, the FAIL code, with a traceback
+    path = tmp_path / "g.json"
+    run_checked(["generate", "--category", "s+", "--n", "4", "--max-order", "3", "--seed", "1", "--output", str(path)])
+    result = run(args + ["--input", str(path)])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert json.loads(result.stderr)["error"] == "order-exceeded"
+
+
+@pytest.mark.parametrize("category,m", [("o+", "0"), ("s+", "0"), ("o+", "-1")])
+def test_asymptotics_refuses_orders_below_one(tmp_path, category, m):
+    # o+ at m = 0 raised KeyError; s+ at 0 and o+ at -1 printed an empty DECAY, exit 0
+    path = tmp_path / "sc.json"
+    run_checked(["semicircular", "--n", "4", "--max-order", "2", "--output", str(path)])
+    result = run(["asymptotics", "--category", category, "--m", m, "--inputs", str(path)])
+    assert result.exit_code == 2 and result.stdout == ""
+    message = "asymptotics probe needs an order m >= 1, got " + m
+    assert json.loads(result.stderr) == {"error": "error", "message": message}
+
+
 def test_outputs_are_deterministic(tmp_path):
     cases = [
         ["partitions", "--m", "4", "--category", "s+"],

@@ -2,7 +2,10 @@
 
 Each command runs in-process on small inputs written by _write_inputs.
 The digests freeze the CLI bytes, so a refactor that changes any output
-byte, or the stderr of the one error case, fails here.
+byte, or the stderr of the one error case, fails here. The --help text
+of the group and of every subcommand is frozen the same way, so option
+order and help strings cannot move either. Every case that exits 0 or
+1 is also run with --output, into a file and into a missing directory.
 """
 
 import hashlib
@@ -122,3 +125,77 @@ def run_case(args, d):
 def test_golden_output(inputs, monkeypatch, args, code, digest):
     monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)
     assert run_case(args, inputs) == (code, digest)
+
+
+def test_cases_cover_every_command():
+    assert {c[1].split()[0] for c in CASES if c[2] < 2} == set(main.commands)
+
+
+_WRITING = [c for c in CASES if c[2] < 2]
+
+
+@pytest.mark.parametrize("args,code", [c[1:3] for c in _WRITING], ids=[c[0] for c in _WRITING])
+def test_output_file_holds_the_stdout_bytes(inputs, tmp_path, monkeypatch, args, code):
+    monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)
+    argv = args.format(d=inputs).split()
+    printed = CliRunner().invoke(main, argv)
+    out = tmp_path / "out"
+    written = CliRunner().invoke(main, argv + ["--output", str(out)])
+    assert printed.exit_code == code
+    assert (written.exit_code, written.stdout_bytes, written.stderr_bytes) == (code, b"", b"")
+    assert out.read_bytes() == printed.stdout_bytes
+
+
+@pytest.mark.parametrize("args", [c[1] for c in _WRITING], ids=[c[0] for c in _WRITING])
+def test_unwritable_output_exits_2(inputs, tmp_path, monkeypatch, args):
+    # a FAIL check exits 2 here, not 1: nothing was written
+    monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)
+    out = str(tmp_path / "missing" / "out")
+    result = CliRunner().invoke(main, args.format(d=inputs).split() + ["--output", out])
+    assert result.exit_code == 2 and result.stdout_bytes == b""
+    assert json.loads(result.stderr) == {"error": "error", "message": "[Errno 2] No such file or directory: %r" % out}
+
+
+# (subcommand or None for the group, sha256 of `freedf [subcommand] --help` at 80 columns)
+HELP = [
+    (None,
+     "9a89eb0c4dbfc70b6fc4a98ad608be91cc4f3f94686003bc4a65c5fb78dc7bfd"),
+    ("asymptotics",
+     "b80f8f9f8e55523bea940fe89f1005b9c7e7ce2665d648d5e44d964590ca7e33"),
+    ("block-sum",
+     "6fa5625917bbdaf4fb24604eff91798c11cf7f97f1456b46bdb1eb13c497b1f6"),
+    ("check",
+     "0d14bdb8732d33693064064be13116a275736e8b013e40b907251f132acb7e21"),
+    ("convert",
+     "56c3013b7749986ec0b3020c40ea8645aa01484de0f821f908a3f22306b91ab2"),
+    ("generate",
+     "6cf7f94e64dada991df25ea5d3de5e0c87c8611f5c575500713bb180b4cebf19"),
+    ("gram",
+     "e6d07676192774383ae3d2d8c8faa472d5b715ea046177b676428edd8432a77d"),
+    ("haar",
+     "926dcec861e669940cfa2ec7cf6275d370aa5a9e673ceb038291ccd2c3ca090c"),
+    ("partitions",
+     "f366dd17bb56c88b8ef44db1b48d7801373b2aee3f819b479e14c7cd06e0b968"),
+    ("reconstruct",
+     "2cea51420577356fe6f2000ce4eb7d31b93eadecba1864e763b89525d409c216"),
+    ("semicircular",
+     "7bdf0a620955a9f74929a46abf291c346a5b2649a4d907da54179066abfb3c3e"),
+    ("solve",
+     "afc7507e16e69fbd43f77b2d23dcb666767c55f936a091c2f5f4066638d147d6"),
+    ("transform",
+     "00b673c73f4e3b4a68e7f7b0c5aa3f332a098c6fd17abf3941014c13985adb71"),
+    ("weingarten",
+     "d9b5c6b9619eafaece07b28b697e085298c8dfd09e95b3a6aa0732c29f9257c2"),
+]
+
+
+def test_help_covers_every_command():
+    assert [c for c, _ in HELP[1:]] == sorted(main.commands)
+
+
+@pytest.mark.parametrize("command,digest", HELP, ids=[c or "freedf" for c, _ in HELP])
+def test_help_is_frozen(command, digest):
+    args = [command, "--help"] if command else ["--help"]
+    result = CliRunner().invoke(main, args, prog_name="freedf", terminal_width=80)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest

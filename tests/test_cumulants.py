@@ -146,6 +146,15 @@ def test_kernel_view_witnesses_nonuniform():
     assert "(1, 1)" in msg and "(2, 2)" in msg and "0,0" in msg
 
 
+@pytest.mark.parametrize("m", [0, -1, 4])
+@pytest.mark.parametrize("dense", [False, True], ids=["kernel", "dense"])
+def test_kernel_view_refuses_orders_outside_the_table(m, dense):
+    # a KeyError before; Table.value already raised OrderExceeded
+    t = semicircular_model(2, 3)
+    with pytest.raises(OrderExceeded):
+        (t.to_dense() if dense else t).kernel_view(m)
+
+
 def test_representative_tuple():
     tau = parse_partition("0,1,0,2")
     assert representative_tuple(tau) == (1, 2, 1, 3)

@@ -424,6 +424,21 @@ def test_probe_rejects_noninvariant():
         asymptotic_freeness_probe([bad, semicircular_model(6, 4)], O_PLUS, 4)
 
 
+@pytest.mark.parametrize("cat,m", [(O_PLUS, 0), (S_PLUS, 0), (O_PLUS, -1)])
+def test_probe_refuses_orders_below_one(cat, m):
+    # o+ at m = 0 raised KeyError; s+ at 0 and o+ at -1 reported an empty DECAY
+    with pytest.raises(FreedfError, match="order m >= 1"):
+        asymptotic_freeness_probe([semicircular_model(n, 2) for n in (4, 6)], cat, m)
+
+
+def test_probe_reads_only_the_probed_orders():
+    # a non-invariant order above m made the probe raise NotKernelRepresentable
+    tables = [semicircular_model(n, 4).to_dense() for n in (3, 4)]
+    clean = asymptotic_freeness_probe(tables, O_PLUS, 2).to_json()
+    tables[1].values[4][(1, 2, 1, 2)] += 1
+    assert asymptotic_freeness_probe(tables, O_PLUS, 2).to_json() == clean
+
+
 def test_probe_report_json():
     report = asymptotic_freeness_probe([semicircular_model(n, 2) for n in (4, 6)], O_PLUS, 2)
     doc = report.to_json()
