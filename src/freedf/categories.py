@@ -6,14 +6,16 @@ h+ (non-crossing, every block of even size), b+ (non-crossing, every
 block of size at most 2). C(m) denotes the order-m part of a category.
 
 Every sigma <= tau sum between C(m) and the kernel classes reads one
-incidence index per (cat, m, n); leq scans are its oracle in the tests.
+incidence index per (cat, m, n), and c_leq_kernel builds C(m) below one
+partition block by block; leq scans are their oracle in the tests.
 """
 
 import enum
+import itertools
 from functools import cache
 
 from .errors import OrderTooLarge, UnknownCategory
-from .partitions import Partition, canonicalize, enumerate_partitions, is_noncrossing, kernel, leq, num_blocks
+from .partitions import Partition, canonicalize, enumerate_partitions, is_noncrossing, kernel, num_blocks
 
 
 class CategoryId(enum.Enum):
@@ -70,14 +72,15 @@ def category_contains(cat, p):
     raise UnknownCategory("unknown category %r" % (cat,))
 
 
-def _cap(cat):
-    return PAIRING_CAP if cat is O_PLUS else GENERAL_CAP
+def _check_order(cat, m):
+    cap = PAIRING_CAP if cat is O_PLUS else GENERAL_CAP
+    if m < 0 or m > cap:
+        raise OrderTooLarge("m=%d outside 0..%d for %s" % (m, cap, cat))
 
 
 def enumerate_category(cat, m):
     """C(m) in RGS-lex order; m=0 gives the single empty partition."""
-    if m < 0 or m > _cap(cat):
-        raise OrderTooLarge("m=%d outside 0..%d for %s" % (m, _cap(cat), cat))
+    _check_order(cat, m)
     if m == 0:
         return [Partition()]
     return list(_category(cat, m))
@@ -145,4 +148,23 @@ def c_leq(cat, i):
 
 
 def c_leq_kernel(cat, tau):
-    return [p for p in enumerate_category(cat, len(tau)) if leq(p, tau)]
+    """C(m) below the partition tau, in RGS-lex order.
+
+    Each is a member of C(|B|) on every block B of tau (the categories are
+    closed under restriction to a block), in a combination that does not
+    cross; below a non-crossing tau no combination crosses.
+    """
+    _check_order(cat, len(tau))
+    blocks = Partition(tau).blocks()
+    crossing = not is_noncrossing(tau)
+    got = []
+    for pick in itertools.product(*(enumerate_category(cat, len(block)) for block in blocks)):
+        labels, top = [0] * len(tau), 0
+        for block, p in zip(blocks, pick):
+            for pos, b in zip(block, p):
+                labels[pos] = top + b
+            top += num_blocks(p)
+        sigma = canonicalize(labels)
+        if not crossing or is_noncrossing(sigma):
+            got.append(sigma)
+    return sorted(got)

@@ -10,21 +10,26 @@ forward substitution on categories.incidence, finest partitions first
 (the generic Moebius recursion of FinitePoset is the oracle in the
 tests). An order it reproduces exactly passes without a Weingarten
 matrix; for m > n, and for an order that fails, the candidates are the
-Weingarten averages (phi applied to the averaged words b_pi), formed in
-integer arithmetic. Every sigma <= tau sum reads categories.incidence.
+Weingarten averages (phi applied to the averaged words b_pi). Every
+sigma <= tau sum reads categories.incidence, except reconstruction,
+which reads only the part of C(m) below ker i (categories.c_leq_kernel).
 
 Coefficient families come in two flavors: c_pi (moment-side) and C_pi
-(cumulant-side), related like moments and cumulants; both conversions
-run the first-block recursion of the transforms in cumulants.py.
+(cumulant-side), related like moments and cumulants by the first-block
+relation of the transforms in cumulants.py, here run on sigma's own
+blocks: a first block is a union of sigma-blocks whose gaps are unions
+of sigma-blocks too. Conversion, the m <= n solve, every re-sum check,
+reconstruction and averaging add integer numerators over one common
+denominator and divide once per result.
 """
 
 import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import perm
+from math import lcm, perm
 
-from .categories import O_PLUS, S_PLUS, category_contains, enumerate_category, incidence
+from .categories import O_PLUS, S_PLUS, c_leq_kernel, category_contains, enumerate_category, incidence
 from .cumulants import (
     DENSE,
     DENSE_GUARD,
@@ -32,7 +37,6 @@ from .cumulants import (
     CumulantTable,
     MomentTable,
     cumulants_from_moments,
-    first_block_shapes,
     kernel_classes,
     moments_from_cumulants,
     representative_tuple,
@@ -150,8 +154,9 @@ def _averaged(mt, cat, m, view):
 def check_invariance(mt, cat, up_to=None, tolerance=None):
     """Certify G_n-invariance order by order; exact PASS/FAIL report.
 
-    An order m <= n that solve_moment_coefficients reproduces exactly
-    passes with its coefficients and zero residuals, and needs no
+    The kernel test (Table.kernel_layer) runs once per order. An order
+    m <= n with kernel classes that the triangular solve reproduces
+    exactly passes with its coefficients and zero residuals, and needs no
     Weingarten matrix: there G = Z Delta Z^T with Z unitriangular on
     C(m), so the averaged coefficients are the same numbers. Every other
     order (m > n, or one the solve rejects) is certified by Weingarten
@@ -171,14 +176,14 @@ def check_invariance(mt, cat, up_to=None, tolerance=None):
     witnesses = []
     failed = False
     for m in range(1, M + 1):
-        if m <= n:
+        layer, view = mt.values[m], mt.kernel_layer(m)
+        if m <= n and view is not None:
             try:
-                coefficients[m] = solve_moment_coefficients(mt, cat, m).values
+                coefficients[m] = _solve(view, cat, m, n).values
                 residuals[m] = dict.fromkeys(kernel_classes(m, n), _ZERO)
                 continue
             except NotInvariant:
                 pass  # averaging finds the same coefficients and the witnesses
-        layer, view = mt.values[m], mt.kernel_layer(m)
         coefficients[m], nums, c, D, L = _averaged(mt, cat, m, view)
         # an entry a = A / L equals the prediction P / (D * L) iff A * D == P
         below = incidence(cat, m, n)
@@ -226,7 +231,19 @@ def solve_moment_coefficients(table, cat, m, fallback=True):
         view = table.kernel_view(m)
     except NotKernelRepresentable as e:
         raise NotInvariant("table is not kernel-uniform at order %d: %s" % (m, e)) from None
-    n = table.n
+    return _solve(view, cat, m, table.n, fallback)
+
+
+solve_cumulant_coefficients = solve_moment_coefficients
+
+
+def _solve(view, cat, m, n, fallback=True):
+    """solve_moment_coefficients on the kernel-class view of order m.
+
+    The view is read as integers over its common denominator L; for m <= n
+    the coefficients are integers over L as well, and the re-sum check
+    compares integers.
+    """
     basis = enumerate_category(cat, m)
     classes = kernel_classes(m, n)
     if not basis:
@@ -236,39 +253,45 @@ def solve_moment_coefficients(table, cat, m, fallback=True):
                 "C(%d) is empty for %s but the table is nonzero at kernel %s" % (m, cat, bad[0])
             )
         return CoefficientSlice(cat, m, {}, True)
+    nums = {}
+    L = scale_into(nums, view)
     if m <= n:
-        values = _forward_substitute(view, basis, incidence(cat, m, n), range(len(basis)))
+        below = incidence(cat, m, n)
+        finest_first = sorted(range(len(basis)), key=lambda a: -num_blocks(basis[a]))
+        c = _forward_substitute([nums[s] for s in basis], [below[s] for s in basis], finest_first)
+        values = [Fraction(v, L) for v in c]
         unique = True
     else:
         if not fallback:
             raise OrderExceedsN("order m=%d exceeds n=%d and fallback is disabled" % (m, n))
         values, unique = _zeta_solve(view, cat, m, n)
-    total = _incident_sums(values, cat, m, n)
+        den = lcm(L, *(v.denominator for v in values))
+        c = [v.numerator * (den // v.denominator) for v in values]
+        nums = {tau: v * (den // L) for tau, v in nums.items()}
+    total = _incident_sums(c, cat, m, n)
     for tau in classes:
-        if total[tau] != view[tau]:
+        if total[tau] != nums[tau]:
             raise NotInvariant(
                 "no coefficient family reproduces the table at order %d, kernel %s" % (m, tau)
             )
     return CoefficientSlice(cat, m, dict(zip(basis, values)), unique)
 
 
-solve_cumulant_coefficients = solve_moment_coefficients
-
-
-def _incident_sums(values, cat, m, n):
-    """{tau: sum of values[a] over C(m)[a] <= tau} over the kernel classes."""
+def _incident_sums(nums, cat, m, n):
+    """{tau: sum of nums[a] over C(m)[a] <= tau} over the kernel classes."""
     below = incidence(cat, m, n)
-    return {tau: sum((values[a] for a in below.get(tau, ())), _ZERO) for tau in kernel_classes(m, n)}
+    return {tau: sum(map(nums.__getitem__, below.get(tau, ()))) for tau in kernel_classes(m, n)}
 
 
-def _forward_substitute(view, basis, below, positions):
-    """c_p = phi~(p) - sum_{s < p} c_s on down-closed positions, finest first.
+def _forward_substitute(nums, below, order):
+    """Integers c with nums[a] = sum of c[b] over b in below[a], a among them.
 
-    This is Moebius inversion on C(m) without computing mu.
+    The positions are taken in order, finest first, so below[a] holds a
+    and positions already solved: Moebius inversion without computing mu.
     """
-    c = [None] * len(basis)
-    for a in sorted(positions, key=lambda a: -num_blocks(basis[a])):
-        c[a] = view[basis[a]] - sum((c[b] for b in below[basis[a]] if b != a), _ZERO)
+    c = [0] * len(nums)
+    for a in order:
+        c[a] = nums[a] - sum(map(c.__getitem__, below[a]))
     return c
 
 
@@ -334,33 +357,75 @@ def C_from_c(cf, cat, m):
 
 
 def _convert(cf, cat, m, to_moments):
-    """The first-block relation of the transforms, on C(m).
+    """The first-block relation of the transforms, on sigma's own blocks.
 
-    Only shapes whose V and gaps are unions of sigma-blocks count; lower
-    orders of the family being built are memoised for this call.
+    c_sigma = C_sigma + sum over first blocks V != [m] of C_{sigma|V} times
+    c on each gap of V, where V is the block of position 0 together with
+    any other sigma-blocks such that every gap of V is a union of
+    sigma-blocks (_first_blocks). With L the lcm of the denominators of
+    orders 1..m of cf, an order-k value is held as its numerator over L^k,
+    so every term is an integer over L^(order) and each result divides
+    once. One memo holds every order of the family being built.
     """
     _family_get(cf, m)
-    memo = {}
+    L = lcm(*(v.denominator for k in range(1, m + 1) for v in cf.get(k, {}).values()))
+    given, built = {}, {}
 
     def source(sigma):
-        return _family_get(cf, len(sigma))[sigma]
-
-    def target(sigma):
-        got = memo.get(sigma)
+        got = given.get(sigma)
         if got is None:
-            kappa, phi = (source, target) if to_moments else (target, source)
-            total = _ZERO
-            for _, _, cut_v, cut_gaps in first_block_shapes(len(sigma)):
-                parts = [cut_v(sigma)] + [cut(sigma) for cut in cut_gaps]
-                if sum(len(set(part)) for part in parts) == num_blocks(sigma):
-                    term = kappa(relabel(parts[0]))
-                    for part in parts[1:]:
-                        term *= phi(relabel(part))
-                    total += term
-            got = memo[sigma] = source(sigma) + total if to_moments else source(sigma) - total
+            v = _family_get(cf, len(sigma))[sigma]
+            got = given[sigma] = v.numerator * (L ** len(sigma) // v.denominator)
         return got
 
-    return {sigma: target(sigma) for sigma in enumerate_category(cat, m)}
+    def target(sigma):
+        got = built.get(sigma)
+        if got is None:
+            kappa, phi = (source, target) if to_moments else (target, source)
+            total = 0
+            for v, gaps in _first_blocks(sigma):
+                term = kappa(v)
+                for gap in gaps:
+                    term *= phi(gap)
+                total += term
+            got = built[sigma] = source(sigma) + total if to_moments else source(sigma) - total
+        return got
+
+    return {sigma: Fraction(target(sigma), L ** m) for sigma in enumerate_category(cat, m)}
+
+
+def _first_blocks(sigma):
+    """[(sigma|V, [sigma|gap, ...])] over the first blocks V != [m] of sigma.
+
+    V holds block 0 and a set of other blocks; a block left out of V must
+    hold no element of V inside its span, i.e. (sigma being non-crossing)
+    V holds the innermost block enclosing each block of V. Block ids grow
+    with first positions, so a block's enclosing block is decided first.
+    """
+    k = num_blocks(sigma)
+    first, last = {}, {}
+    for pos, b in enumerate(sigma):
+        first.setdefault(b, pos)
+        last[b] = pos
+    masks = [1]
+    for b in range(1, k):
+        outer = next((a for a in range(b - 1, -1, -1) if first[b] < last[a]), None)
+        masks += [mask | 1 << b for mask in masks if outer is None or mask >> outer & 1]
+    shapes = []
+    for mask in masks[:-1]:  # the last mask holds every block
+        inside, gaps, run = [], [], []
+        for b in sigma:
+            if mask >> b & 1:
+                inside.append(b)
+                if run:
+                    gaps.append(relabel(run))
+                    run = []
+            else:
+                run.append(b)
+        if run:
+            gaps.append(relabel(run))
+        shapes.append((relabel(inside), gaps))
+    return shapes
 
 
 def seed_coefficients(cat, n, M, seed):
@@ -389,8 +454,11 @@ def generate_invariant_model(cat, n, M, seed):
     floor = 2 if cat is O_PLUS else 4
     if n < floor:
         raise ValueError("invariance machinery for %s needs n >= %d, got n=%d" % (cat, floor, n))
-    C = seed_coefficients(cat, n, M, seed)
-    layers = {m: _incident_sums(list(C[m].values()), cat, m, n) for m in range(1, M + 1)}
+    layers = {}
+    for m, sl in seed_coefficients(cat, n, M, seed).items():
+        nums = {}
+        L = scale_into(nums, sl)
+        layers[m] = {tau: Fraction(v, L) for tau, v in _incident_sums(list(nums.values()), cat, m, n).items()}
     ct = CumulantTable(n, M, layers, repr=KERNEL)
     return moments_from_cumulants(ct)
 
@@ -423,6 +491,8 @@ def reconstruct_infinite(phi_tilde, cat, i):
 
     phi_tilde maps each order m to {pi in C(m): value}; entries of i may
     range over all positive integers. Tuples with empty C_<=(i) get 0.
+    The moment is the sum of c_pi over C_<=(i): phi~(ker i) when ker i is
+    in C(m), else a forward substitution on that down-set alone.
     """
     i = tuple(i)
     m = len(i)
@@ -438,10 +508,16 @@ def reconstruct_infinite(phi_tilde, cat, i):
             "phi~ at order %d is missing %d values, e.g. %s" % (m, len(missing), missing[0]),
             missing=missing,
         )
-    below = incidence(cat, m, m)
-    down = below.get(relabel(i), ())
-    c = _forward_substitute(view, basis, below, down)
-    return sum((c[a] for a in down), Fraction(0))
+    tau = relabel(i)
+    if category_contains(cat, tau):  # then the sum is phi~(tau) itself
+        return Fraction(view[tau])
+    down = sorted(c_leq_kernel(cat, tau), key=num_blocks, reverse=True)
+    nums = {}
+    L = scale_into(nums, {sigma: view[sigma] for sigma in down})
+    at = {sigma: a for a, sigma in enumerate(down)}
+    below = [[at[p] for p in c_leq_kernel(cat, sigma)] for sigma in down]
+    c = _forward_substitute(list(nums.values()), below, range(len(down)))
+    return Fraction(sum(c), L)
 
 
 @dataclass
@@ -497,7 +573,9 @@ def asymptotic_freeness_probe(models, cat, m, tolerance=Fraction(1, 10 ** 9)):
     vanish for asymptotic freeness). For o+ they are the pair-kernel
     cumulants at orders 2k >= 4 (target 0) and the pair-kernel moments
     (target 1). Each table is certified and transformed up to order m
-    only, so its higher orders need not be invariant.
+    only, so its higher orders need not be invariant. An order without a
+    probed class (o+ at odd m, s+ at m = 1) certifies nothing and raises
+    FreedfError.
     """
     if cat not in (S_PLUS, O_PLUS):
         raise FreedfError("asymptotics probe supports categories s+ and o+ only")
@@ -507,30 +585,32 @@ def asymptotic_freeness_probe(models, cat, m, tolerance=Fraction(1, 10 ** 9)):
     if not models:
         raise FreedfError("asymptotics probe needs at least one table")
     min_n = models[0].n
-    moments, cumulants = [], []
+    probes = []  # (kind, tau, target)
+    if cat is S_PLUS:
+        probes = [("cumulant", tau, _ZERO) for tau in enumerate_category(S_PLUS, m) if 1 < num_blocks(tau) <= min_n]
+    elif m % 2 == 0:
+        for tau in enumerate_category(O_PLUS, m):
+            if num_blocks(tau) <= min_n:
+                if m >= 4:
+                    probes.append(("cumulant", tau, _ZERO))
+                probes.append(("moment", tau, _ONE))
+    if not probes:
+        raise FreedfError(
+            "asymptotics probe has no class to probe for %s at order %d (smallest n = %d)" % (cat, m, min_n)
+        )
+    tables = {"moment": [], "cumulant": []}
     for mt in models:
         if mt.max_order < m:
             raise FreedfError("table at n=%d stops at order %d, below the probed order %d" % (mt.n, mt.max_order, m))
         report = check_invariance(mt, cat, up_to=m)
         if not report.passed:
             raise NotInvariant("table at n=%d is not %s-invariant" % (mt.n, cat))
-        moments.append(MomentTable(mt.n, m, {k: mt.kernel_view(k) for k in range(1, m + 1)}, repr=KERNEL))
-        cumulants.append(cumulants_from_moments(moments[-1]))
-
-    def entry(kind, tau, tables, target):
-        pairs = [(t.n, t.values[m][tau]) for t in tables]
-        return ProbeEntry(kind, m, tau, target, pairs, _decay_verdict(pairs, target, tolerance))
-
+        moments = MomentTable(mt.n, m, {k: mt.kernel_view(k) for k in range(1, m + 1)}, repr=KERNEL)
+        tables["moment"].append(moments)
+        tables["cumulant"].append(cumulants_from_moments(moments))
     entries = []
-    if cat is S_PLUS:
-        for tau in enumerate_category(S_PLUS, m):
-            if 1 < num_blocks(tau) <= min_n:
-                entries.append(entry("cumulant", tau, cumulants, _ZERO))
-    elif m % 2 == 0:
-        for tau in enumerate_category(O_PLUS, m):
-            if num_blocks(tau) <= min_n:
-                if m >= 4:
-                    entries.append(entry("cumulant", tau, cumulants, _ZERO))
-                entries.append(entry("moment", tau, moments, _ONE))
+    for kind, tau, target in probes:
+        pairs = [(t.n, t.values[m][tau]) for t in tables[kind]]
+        entries.append(ProbeEntry(kind, m, tau, target, pairs, _decay_verdict(pairs, target, tolerance)))
     verdict = "DECAY" if all(e.verdict == "DECAY" for e in entries) else "NO-DECAY"
     return ProbeReport(cat, m, entries, verdict)

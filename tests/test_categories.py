@@ -150,6 +150,8 @@ def test_enumerate_caps():
         enumerate_category(O_PLUS, PAIRING_CAP + 2)
     with pytest.raises(OrderTooLarge):
         enumerate_category(S_PLUS, GENERAL_CAP + 1)
+    with pytest.raises(OrderTooLarge):  # however small the blocks of ker i
+        c_leq(S_PLUS, range(1, GENERAL_CAP + 2))
 
 
 def test_c_leq_examples():
@@ -165,3 +167,8 @@ def test_c_leq_is_brute_filter():
         for i in itertools.product((1, 2, 3), repeat=4):
             want = [p for p in enumerate_category(cat, 4) if leq(p, kernel(i))]
             assert c_leq(cat, i) == want
+        for m in range(8):  # every partition, crossing or not, up to m = 7
+            for tau in enumerate_partitions(m) if m else [Partition()]:
+                want = [p for p in enumerate_category(cat, m) if leq(p, tau)]
+                got = c_leq_kernel(cat, tau)
+                assert got == want and all(type(p) is Partition for p in got), (cat, tau)

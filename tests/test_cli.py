@@ -321,6 +321,17 @@ def test_asymptotics_refuses_orders_below_one(tmp_path, category, m):
     assert json.loads(result.stderr) == {"error": "error", "message": message}
 
 
+@pytest.mark.parametrize("category,m", [("o+", "3"), ("s+", "1"), ("o+", "1")])
+def test_asymptotics_refuses_orders_without_a_probed_class(tmp_path, category, m):
+    # these printed {"verdict": "DECAY", "entries": []} and exited 0
+    path = tmp_path / "sc.json"
+    run_checked(["semicircular", "--n", "4", "--max-order", "3", "--output", str(path)])
+    result = run(["asymptotics", "--category", category, "--m", m, "--inputs", str(path)])
+    assert result.exit_code == 2 and result.stdout == ""
+    message = "asymptotics probe has no class to probe for %s at order %s (smallest n = 4)" % (category, m)
+    assert json.loads(result.stderr) == {"error": "error", "message": message}
+
+
 def test_outputs_are_deterministic(tmp_path):
     cases = [
         ["partitions", "--m", "4", "--category", "s+"],

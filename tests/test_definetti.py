@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from freedf import definetti as definetti_module
 
-from freedf.categories import B_PLUS, H_PLUS, O_PLUS, S_PLUS, enumerate_category
+from freedf.categories import B_PLUS, H_PLUS, O_PLUS, S_PLUS, enumerate_category, incidence
 from freedf.cumulants import (
     KERNEL,
     CumulantTable,
     MomentTable,
+    Table,
     cumulants_from_moments,
     kernel_classes,
     moments_from_cumulants,
@@ -43,7 +44,17 @@ from freedf.errors import (
     OrderExceedsN,
     SingularGram,
 )
-from freedf.partitions import kernel, leq, num_blocks, one_block, parse_partition, singletons
+from freedf.partitions import (
+    enumerate_partitions,
+    is_noncrossing,
+    kernel,
+    leq,
+    num_blocks,
+    one_block,
+    parse_partition,
+    restrict,
+    singletons,
+)
 from freedf.weingarten import weingarten
 
 ALL_CATS = (O_PLUS, S_PLUS, H_PLUS, B_PLUS)
@@ -281,6 +292,53 @@ def test_conversion_missing_order():
         c_from_C(C, S_PLUS, 2)
 
 
+# ---- conversion against the NC sum over P(m) ------------------------------------
+
+DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
+def coprime_family(cat, M, seed):
+    """A family whose denominators run through 1 and the primes, about 30% of
+    it zero, so the common denominator of the orders is large."""
+    rng = random.Random(seed)
+    out = {}
+    for m in range(1, M + 1):
+        out[m] = {}
+        for a, p in enumerate(enumerate_category(cat, m)):
+            zero = rng.random() < 0.3
+            out[m][p] = Fraction(0 if zero else rng.randint(-30, 30), DENOMINATORS[(a + m) % len(DENOMINATORS)])
+    return out
+
+
+def nc_sum_c_from_C(C, cat, m):
+    """c_sigma = sum over pi in NC(m), pi >= sigma, of prod over V in pi of
+    C_{sigma|V}: every partition of [m], no first-block recursion."""
+    nc = [p for p in enumerate_partitions(m) if is_noncrossing(p)]
+    out = {}
+    for sigma in enumerate_category(cat, m):
+        total = Fraction(0)
+        for pi in nc:
+            if leq(sigma, pi):
+                term = Fraction(1)
+                for block in pi.blocks():
+                    term *= C[len(block)][restrict(sigma, block)]
+                total += term
+        out[sigma] = total
+    return out
+
+
+@pytest.mark.parametrize("cat", ALL_CATS)
+def test_conversion_matches_the_nc_sum_oracle(cat):
+    for seed in range(3):
+        C = coprime_family(cat, 6, seed)
+        c = {m: nc_sum_c_from_C(C, cat, m) for m in range(1, 7)}
+        for m in range(1, 7):
+            got = c_from_C(C, cat, m)
+            assert list(got) == enumerate_category(cat, m)
+            assert got == c[m], (cat, seed, m)
+            assert C_from_c(c, cat, m) == C[m], (cat, seed, m)
+
+
 def test_generate_zero_coefficients_gives_zero_table():
     # seeds do not produce all-zero draws, so assemble directly
     zero = {m: {tau: Fraction(0) for tau in kernel_classes(m, 4)} for m in (1, 2, 3)}
@@ -368,6 +426,60 @@ def test_reconstruct_missing_order():
         reconstruct_infinite(phi, S_PLUS, (1, 1))
 
 
+def reconstruct_by_incidence(phi, cat, tau):
+    """The sum of c over C(m) below tau, by forward substitution on the full
+    incidence index of P(m)."""
+    m = len(tau)
+    basis = enumerate_category(cat, m)
+    below = incidence(cat, m, m)
+    c = {}
+    for a in sorted(below.get(tau, ()), key=lambda a: -num_blocks(basis[a])):
+        c[a] = phi[m][basis[a]] - sum((c[b] for b in below[basis[a]] if b != a), Fraction(0))
+    return sum(c.values(), Fraction(0))
+
+
+@pytest.mark.parametrize("cat", ALL_CATS)
+def test_reconstruct_matches_the_incidence_route(cat):
+    rng = random.Random(41)
+    for m in range(1, 8):
+        phi = {
+            m: {
+                p: Fraction(0) if rng.random() < 0.2 else Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                for p in enumerate_category(cat, m)
+            }
+        }
+        for tau in enumerate_partitions(m):
+            got = reconstruct_infinite(phi, cat, representative_tuple(tau))
+            assert type(got) is Fraction and got == reconstruct_by_incidence(phi, cat, tau), (cat, tau)
+
+
+def test_reconstruct_reads_only_the_down_set(monkeypatch):
+    # the full index of P(10) took 15 s and peaked at 126 MB for one value
+    def refuse(*args):
+        raise AssertionError("incidence index requested for %s" % (args,))
+
+    monkeypatch.setattr(definetti_module, "incidence", refuse)
+    basis = enumerate_category(S_PLUS, 10)
+    phi = {10: {p: Fraction(a % 11 - 5, a % 7 + 1) for a, p in enumerate(basis)}}
+    assert reconstruct_infinite(phi, S_PLUS, range(1, 11)) == phi[10][singletons(10)]
+    # ker i crosses: below it lie 0_10 and the two partitions that pair 1,3 or 2,4
+    left, right = parse_partition("0,1,0,2,3,4,5,6,7,8"), parse_partition("0,1,2,1,3,4,5,6,7,8")
+    want = phi[10][left] + phi[10][right] - phi[10][singletons(10)]
+    assert reconstruct_infinite(phi, S_PLUS, (1, 2, 1, 2, 3, 4, 5, 6, 7, 8)) == want
+
+
+def test_check_runs_the_kernel_test_once_per_order(monkeypatch):
+    dense = generate_invariant_model(S_PLUS, 6, 6, seed=5).to_dense()
+    dense.values[5][(1, 2, 3, 1, 2)] += 1
+    dense.values[6][(1, 2, 1, 3, 3, 2)] += Fraction(1, 3)
+    calls = []
+    kernel_layer = Table.kernel_layer
+    monkeypatch.setattr(Table, "kernel_layer", lambda self, m: calls.append(m) or kernel_layer(self, m))
+    report = check_invariance(dense, S_PLUS)
+    assert not report.passed and any(report.residuals[6].values())
+    assert sorted(calls) == [1, 2, 3, 4, 5, 6]
+
+
 def test_probe_semicircular_decays():
     models = [semicircular_model(n, 4) for n in (4, 6, 8)]
     report = asymptotic_freeness_probe(models, O_PLUS, 4)
@@ -429,6 +541,13 @@ def test_probe_refuses_orders_below_one(cat, m):
     # o+ at m = 0 raised KeyError; s+ at 0 and o+ at -1 reported an empty DECAY
     with pytest.raises(FreedfError, match="order m >= 1"):
         asymptotic_freeness_probe([semicircular_model(n, 2) for n in (4, 6)], cat, m)
+
+
+@pytest.mark.parametrize("cat,m", [(O_PLUS, 3), (S_PLUS, 1), (O_PLUS, 1)])
+def test_probe_refuses_orders_without_a_probed_class(cat, m):
+    # these reported {"verdict": "DECAY", "entries": []}, a verdict on nothing
+    with pytest.raises(FreedfError, match="no class to probe"):
+        asymptotic_freeness_probe([semicircular_model(n, 3) for n in (4, 6)], cat, m)
 
 
 def test_probe_reads_only_the_probed_orders():
