@@ -575,7 +575,9 @@ def asymptotic_freeness_probe(models, cat, m, tolerance=Fraction(1, 10 ** 9)):
     (target 1). Each table is certified and transformed up to order m
     only, so its higher orders need not be invariant. An order without a
     probed class (o+ at odd m, s+ at m = 1) certifies nothing and raises
-    FreedfError.
+    FreedfError. A class reads DECAY when its deviations from the target
+    are all within tolerance, or never increase in n and end below the
+    first: a trend over the given tables, not a certificate of decay.
     """
     if cat not in (S_PLUS, O_PLUS):
         raise FreedfError("asymptotics probe supports categories s+ and o+ only")

@@ -40,6 +40,20 @@ semidefinite, so a zero leading principal minor occurs precisely when the
 matrix is singular; SingularGram is raised only once the primes at which
 elimination stops prove such a minor zero (their product exceeds its
 Hadamard bound).
+
+A cold Weingarten matrix at m >= 2 is inverted on rotation blocks
+(rotation.py, imported only when a matrix is built): G and W commute with
+rotating the m points, so modulo p the DFT over Z_m splits G into m
+blocks, one per character, of about N / m rows each, and the rows of W at
+the rotation orbit representatives follow from the block inverses. For
+that the primes are p = 1 (mod 27720), 27720 = lcm(1..12), so every m up
+to the caps has its m-th roots of unity mod p; D and num do not depend on
+the primes. CRT and reconstruction run on the representative rows, and
+the candidate is filled by rotation. The block route only proposes: the
+filled (D, num) is accepted by the same full check G * num = D * I. A
+prime at which a block elimination stops gets the full elimination
+instead, and only full eliminations that stop feed the Hadamard proof, so
+SingularGram is raised exactly as without blocks.
 """
 
 import json
@@ -116,13 +130,19 @@ def _top(cat, m, n):
 
 def gram(cat, m, n):
     """G(pi, sigma) = n^#(pi v sigma): G times the packed unit rows, with
-    slots wider than the largest entry; equal entries share one int."""
+    slots wider than the largest entry. Only the rows at the rotation orbit
+    representatives are unpacked; the others follow by rotation, and equal
+    entries share one int."""
+    from .rotation import rotation
+
     basis = _check_size(cat, m, n)
     size = len(basis)
     B = _top(cat, m, n).bit_length() // 8 + 1
     acc = _times_gram(cat, m, n, [1 << 8 * B * b for b in range(size)])
     powers = {n ** k: n ** k for k in range(m + 1)}
-    return GramTable(cat, m, n, basis, 1, [list(map(powers.__getitem__, _unpack(r, size, B))) for r in acc])
+    rot = rotation(cat, m)
+    rows = [list(map(powers.__getitem__, _unpack(acc[c], size, B))) for c in rot.reps]
+    return GramTable(cat, m, n, basis, 1, rot.fill(rows))
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -150,16 +170,22 @@ def _is_prime(q):
     return True
 
 
+# lcm(1..12): every order m up to the caps divides p - 1, so Z_m has its
+# m characters modulo every prime of the sequence
+_PRIME_STEP = 27720
+
+
 def _primes():
-    """The primes below 2^62 in decreasing order, a fixed sequence."""
+    """The primes p = 1 (mod 27720) below 2^62 in decreasing order, a fixed
+    sequence."""
     return map(_prime, count())
 
 
 @cache
 def _prime(k):
-    q = _prime(k - 1) - 2 if k else (1 << 62) - 1
+    q = _prime(k - 1) - _PRIME_STEP if k else (1 << 62) - 1 - ((1 << 62) - 2) % _PRIME_STEP
     while not _is_prime(q):
-        q -= 2
+        q -= _PRIME_STEP
     return q
 
 
@@ -267,7 +293,7 @@ def _is_gram_inverse(cat, m, n, num, D):
     return all(r == D << a * w for a, r in enumerate(_times_gram(cat, m, n, rows)))
 
 
-def _ff_inverse(A, is_inverse):
+def _ff_inverse(A, is_inverse, rot=None):
     """Exact inverse of an integer matrix with nonzero leading minors.
 
     Returns (D, num) with inverse = num / D and D the least common
@@ -277,9 +303,17 @@ def _ff_inverse(A, is_inverse):
     once the exact test is_inverse(num, D) of A * num == D * I holds, and
     one more prime is added whenever it does not.
 
-    A prime whose elimination stops at step k divides the leading minor
-    of order k+1. None is returned only when the primes stopping at the
-    latest such step multiply past the Hadamard bound of that minor,
+    With rot, the rotation of a rotation-invariant symmetric A (see
+    rotation.py), each prime first inverts the blocks of A, and CRT and
+    reconstruction run on the rows at the orbit representatives only; the
+    candidate is filled by rotation before the same exact test. A prime at
+    which a block elimination stops runs the full elimination instead, and
+    once a full elimination has stopped (as on every prime when A is
+    singular) the later primes run it alone.
+
+    A prime whose full elimination stops at step k divides the leading
+    minor of order k+1. None is returned only when the primes stopping at
+    the latest such step multiply past the Hadamard bound of that minor,
     which proves it zero; a prime that completes proves every leading
     minor nonzero.
     """
@@ -287,14 +321,18 @@ def _ff_inverse(A, is_inverse):
     P = 1
     stops = {}
     for p in _primes():
-        step, inv = _inverse_mod(A, p)
+        inv = rot.inverse_rows(A, p) if rot and not stops else None
         if inv is None:
-            if X is None:
-                stops[step] = stops.get(step, 1) * p
-                k = max(stops)
-                if stops[k] ** 2 > _hadamard_sq(A, k + 1):
-                    return None
-            continue
+            step, inv = _inverse_mod(A, p)
+            if inv is None:
+                if X is None:
+                    stops[step] = stops.get(step, 1) * p
+                    k = max(stops)
+                    if stops[k] ** 2 > _hadamard_sq(A, k + 1):
+                        return None
+                continue
+            if rot:
+                inv = list(map(inv.__getitem__, rot.reps))
         if X is None:
             X = inv
         else:
@@ -302,8 +340,11 @@ def _ff_inverse(A, is_inverse):
             X = [[x + P * ((r - x) * c % p) for x, r in zip(xrow, rrow)] for xrow, rrow in zip(X, inv)]
         P *= p
         got = _reconstruct(X, P)
-        if got is not None and is_inverse(got[1], got[0]):
-            return got
+        if got is not None:
+            D, num = got
+            num = rot.fill(num) if rot else num
+            if is_inverse(num, D):
+                return D, num
 
 
 @cache
@@ -313,8 +354,11 @@ def weingarten(cat, m, n):
     _check_size(cat, m, n)
     got = _load_cached(cat, m, n)
     if got is None:
+        from .rotation import rotation
+
         g = gram(cat, m, n)
-        res = _ff_inverse(g.num, partial(_is_gram_inverse, cat, m, n))
+        rot = rotation(cat, m) if m > 1 and g.basis else None
+        res = _ff_inverse(g.num, partial(_is_gram_inverse, cat, m, n), rot)
         if res is None:
             raise SingularGram(cat, m, n)
         got = WeingartenTable(cat, m, n, g.basis, *res)

@@ -517,6 +517,19 @@ def test_probe_injected_decay():
         assert devs == sorted(devs, reverse=True) and devs[-1] < devs[0]
 
 
+def test_decay_is_a_trend_over_the_given_tables():
+    # what the README says DECAY tests: every deviation within tolerance, or
+    # deviations that never increase in n and end below the first, at any rate
+    from freedf.definetti import _decay_verdict
+
+    tol, half, near = Fraction(1, 10 ** 9), Fraction(1, 2), Fraction(49, 100)
+    assert _decay_verdict([(4, half), (8, near)], 0, tol) == "DECAY"
+    assert _decay_verdict([(4, half), (8, half), (16, near)], 0, tol) == "DECAY"
+    assert _decay_verdict([(4, half), (8, half)], 0, tol) == "NO-DECAY"
+    assert _decay_verdict([(4, near), (8, half)], 0, tol) == "NO-DECAY"
+    assert _decay_verdict([(4, 1 + tol), (8, 1 - tol)], 1, tol) == "DECAY"
+
+
 def test_probe_constant_cumulant_no_decay():
     models = [generate_invariant_model(S_PLUS, n, 4, seed=37) for n in (4, 6, 8)]
     report = asymptotic_freeness_probe(models, S_PLUS, 4)

@@ -11,7 +11,7 @@ from math import comb, gcd, lcm, prod
 
 from freedf.categories import B_PLUS, H_PLUS, O_PLUS, S_PLUS, enumerate_category
 from freedf.errors import NotInPoset, SchemaError, SingularGram, SizeMismatch, TableTooLarge
-from freedf.partitions import join_num_blocks, one_block, parse_partition, singletons
+from freedf.partitions import join_num_blocks, one_block, parse_partition, relabel, singletons
 from freedf.rationals import format_rational
 from freedf.weingarten import (
     _ff_inverse,
@@ -733,3 +733,104 @@ def test_meander_determinant_of_the_o_plus_gram_matrix():
     # records for m <= 6; no other (k, n) here is
     assert {s for s in singular if s[1] <= 6} == {s for s in SINGULAR_SMALL if s[0] == "o+"}
     assert singular == {("o+", 2 * k, 1) for k in range(2, 6)}
+
+
+# The rotation-block route of weingarten() against the full elimination,
+# which stays in _ff_inverse as its fallback and serves as its oracle.
+
+rotation_module = importlib.import_module("freedf.rotation")
+
+
+def block_oracle_cases():
+    """All four categories at m <= 8 (s+ at m <= 7: its m = 8 full route
+    takes tens of seconds), with m = 0, the empty odd-m bases of o+ and h+
+    and every SINGULAR_SMALL case among them."""
+    for cat in ALL_CATS:
+        for m in range(8 if cat is S_PLUS else 9):
+            for n in (1, 2, 3, 4, 7) if m <= 6 else (1, 4):
+                yield cat, m, n
+
+
+def test_block_route_matches_the_full_route(monkeypatch):
+    monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)
+    p = next(_primes())
+    singular = set()
+    for cat, m, n in block_oracle_cases():
+        g = gram(cat, m, n)
+        if m > 1 and g.basis:
+            # one prime first: a wrong block route fails here instead of
+            # sending weingarten() through prime after prime
+            rot = rotation_module.rotation(cat, m)
+            full = _inverse_mod(g.num, p)[1]
+            got = rot.inverse_rows(g.num, p)
+            assert got == (full and [full[c] for c in rot.reps]), (cat, m, n)
+        want = gram_inverse(cat, m, n)
+        weingarten.cache_clear()
+        if want is None:
+            singular.add((cat.value, m, n))
+            with pytest.raises(SingularGram):
+                weingarten(cat, m, n)
+        else:
+            wg = weingarten(cat, m, n)
+            assert (wg.D, wg.num) == want, (cat, m, n)
+    assert SINGULAR_SMALL <= singular
+
+
+def test_weingarten_is_invariant_under_reflection():
+    # the blocks use rotations only; i -> m-1-i is an independent symmetry
+    for cat, m, n in ((S_PLUS, 6, 4), (S_PLUS, 7, 5), (B_PLUS, 7, 3), (H_PLUS, 8, 3), (O_PLUS, 10, 2)):
+        wg = weingarten(cat, m, n)
+        where = {q: x for x, q in enumerate(wg.basis)}
+        mirror = [where[relabel(q[::-1])] for q in wg.basis]
+        assert sorted(mirror) == list(range(len(mirror))) and mirror != list(range(len(mirror)))
+        assert all(wg.num[mirror[x]][mirror[y]] == v for x, row in enumerate(wg.num) for y, v in enumerate(row))
+
+
+def test_primes_are_one_mod_every_order_up_to_the_caps():
+    primes = list(islice(_primes(), 40))
+    rng = random.Random(3)
+    for k, p in enumerate(primes):
+        assert p < 2 ** 62 and p % 27720 == 1 and (k == 0 or p < primes[k - 1])
+        # Fermat on random bases, independently of _is_prime's fixed ones
+        assert all(pow(rng.randrange(2, p - 1), p - 1, p) == 1 for _ in range(8))
+    # _is_prime itself, against a sieve
+    sieve = [True] * 30000
+    sieve[0] = sieve[1] = False
+    for q in range(2, 174):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, 30000, q))
+    assert [q for q in range(2, 30000) if wg_module._is_prime(q)] == [q for q in range(30000) if sieve[q]]
+
+
+def test_a_block_stop_falls_back_to_the_full_elimination(monkeypatch):
+    monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)
+    calls = {"block": 0, "full": 0}
+    block_inverse, full_inverse = rotation_module._inverse_mod, wg_module._inverse_mod
+
+    def block(A, p):
+        calls["block"] += 1
+        # the second block elimination of the call stops at its first step
+        return (0, None) if calls["block"] == 2 else block_inverse(A, p)
+
+    def full(A, p):
+        calls["full"] += 1
+        return full_inverse(A, p)
+
+    monkeypatch.setattr(rotation_module, "_inverse_mod", block)
+    monkeypatch.setattr(wg_module, "_inverse_mod", full)
+    for cat, m, n in ((S_PLUS, 6, 4), (O_PLUS, 12, 3), (B_PLUS, 7, 3)):
+        want = gram_inverse(cat, m, n)
+        calls.update(block=0, full=0)
+        weingarten.cache_clear()
+        wg = weingarten(cat, m, n)
+        assert (wg.D, wg.num) == want and calls["full"] == 1, (cat, m, n)
+    # a singular matrix: after the first full elimination stops, no prime
+    # tries the blocks again
+    monkeypatch.setattr(rotation_module, "_inverse_mod", block_inverse)
+    tries = []
+    inverse_rows = rotation_module.Rotation.inverse_rows
+    monkeypatch.setattr(rotation_module.Rotation, "inverse_rows", lambda *a: tries.append(1) or inverse_rows(*a))
+    weingarten.cache_clear()
+    with pytest.raises(SingularGram):
+        weingarten(S_PLUS, 7, 3)
+    assert len(tries) == 1
