@@ -4,6 +4,9 @@ Four categories are implemented, identified by their quantum-group
 labels: o+ (non-crossing pairings), s+ (all non-crossing partitions),
 h+ (non-crossing, every block of even size), b+ (non-crossing, every
 block of size at most 2). C(m) denotes the order-m part of a category.
+They differ only in the block sizes they allow, and each is closed under
+restriction to a block, so one recursion on the block of position 0
+builds C(m) for all four; filtering P(m) is its oracle in the tests.
 
 Every sigma <= tau sum between C(m) and the kernel classes reads one
 incidence index per (cat, m, n), and c_leq_kernel builds C(m) below one
@@ -12,6 +15,7 @@ partition block by block; leq scans are their oracle in the tests.
 
 import enum
 import itertools
+from collections import Counter
 from functools import cache
 
 from .errors import OrderTooLarge, UnknownCategory
@@ -37,7 +41,10 @@ B_PLUS = CategoryId.B_PLUS
 # whose partition categories are not implemented here.
 _DEFERRED_TAGS = ("s'+", "b'+", "b#+", "b#")
 
-# Enumeration caps: pairings stay Catalan-small, so o+ may go deeper.
+# Order caps. C(m) is small at either one (16,796 partitions of s+ at
+# m = 10); they bound the P(k) that incidence enumerates for the k blocks
+# of each sigma, and kernel_classes for k = m (Bell(12) = 4,213,597). A
+# pairing of order m has m/2 blocks, so o+ may go deeper.
 PAIRING_CAP = 12
 GENERAL_CAP = 10
 
@@ -57,18 +64,21 @@ def parse_category(text):
 
 
 def category_contains(cat, p):
-    """Membership of a canonical partition in C(m)."""
-    if not is_noncrossing(p):
-        return False
-    if cat is S_PLUS:
-        return True
-    sizes = Partition(p).block_sizes()
+    """Membership in C(m) of the partition that any label sequence p describes."""
+    allowed = _block_size(cat)
+    return is_noncrossing(p) and all(map(allowed, Counter(p).values()))
+
+
+def _block_size(cat):
+    """The block sizes that cat allows, as a predicate."""
     if cat is O_PLUS:
-        return all(s == 2 for s in sizes)
+        return lambda s: s == 2
+    if cat is S_PLUS:
+        return lambda s: True
     if cat is H_PLUS:
-        return all(s % 2 == 0 for s in sizes)
+        return lambda s: s % 2 == 0
     if cat is B_PLUS:
-        return all(s <= 2 for s in sizes)
+        return lambda s: s <= 2
     raise UnknownCategory("unknown category %r" % (cat,))
 
 
@@ -79,48 +89,40 @@ def _check_order(cat, m):
 
 
 def enumerate_category(cat, m):
-    """C(m) in RGS-lex order; m=0 gives the single empty partition."""
+    """C(m) in RGS-lex order, as a fresh list; m=0 gives the empty partition."""
     _check_order(cat, m)
-    if m == 0:
-        return [Partition()]
     return list(_category(cat, m))
 
 
 @cache
 def _category(cat, m):
-    if cat is O_PLUS:
-        # direct pairing enumeration keeps Catalan cost at m = 11, 12
-        # where filtering all of P(m) would touch Bell(m) partitions
-        return tuple(sorted(_nc_pairings(m)))
-    return tuple(p for p in enumerate_partitions(m, cap=GENERAL_CAP) if category_contains(cat, p))
+    """C(m) by the block V of position 0 (the first-block decomposition).
+
+    V has a size that cat allows, and each gap of V (a maximal run of
+    positions outside V) carries any member of C(len(gap)): the gaps lie
+    between consecutive positions of V, so nothing crosses, and every
+    other block of a member of C(m) lies inside one gap. Labels go to V
+    first, then to the gaps from left to right, which is already an RGS.
+    C(0) holds the empty partition alone.
+    """
+    got = [] if m else [Partition()]
+    for k in filter(_block_size(cat), range(1, m + 1)):
+        for rest in itertools.combinations(range(1, m), k - 1):
+            V = (0,) + rest
+            gaps = [tuple(run) for inside, run in itertools.groupby(range(m), V.__contains__) if not inside]
+            for pick in itertools.product(*(_category(cat, len(gap)) for gap in gaps)):
+                got.append(Partition(_glue(m, zip([V] + gaps, [(0,) * k, *pick]))))
+    return tuple(sorted(got))
 
 
-def _nc_pairings(m):
-    """All non-crossing pairings of [m] as canonical Partitions."""
-    if m % 2 == 1:
-        return []
-
-    def rec(seg):
-        # position seg[0] pairs with seg[idx]; the strict inside and the
-        # strict outside must then pair within themselves
-        if not seg:
-            return [[]]
-        out = []
-        a = seg[0]
-        for idx in range(1, len(seg), 2):
-            b = seg[idx]
-            for inner in rec(seg[1:idx]):
-                for outer in rec(seg[idx + 1:]):
-                    out.append([(a, b)] + inner + outer)
-        return out
-
-    result = []
-    for pairs in rec(tuple(range(m))):
-        labels = [0] * m
-        for a, b in pairs:
-            labels[a] = labels[b] = a
-        result.append(canonicalize(labels))
-    return result
+def _glue(m, parts):
+    """Labels on [m] from (positions, p) pairs, each p's blocks numbered after the earlier ones."""
+    labels, top = [0] * m, 0
+    for positions, p in parts:
+        for pos, b in zip(positions, p):
+            labels[pos] = top + b
+        top += num_blocks(p)
+    return labels
 
 
 @cache
@@ -159,12 +161,7 @@ def c_leq_kernel(cat, tau):
     crossing = not is_noncrossing(tau)
     got = []
     for pick in itertools.product(*(enumerate_category(cat, len(block)) for block in blocks)):
-        labels, top = [0] * len(tau), 0
-        for block, p in zip(blocks, pick):
-            for pos, b in zip(block, p):
-                labels[pos] = top + b
-            top += num_blocks(p)
-        sigma = canonicalize(labels)
+        sigma = canonicalize(_glue(len(tau), zip(blocks, pick)))
         if not crossing or is_noncrossing(sigma):
             got.append(sigma)
     return sorted(got)

@@ -228,10 +228,10 @@ def restrict(p, positions):
     return canonicalize(p[v] for v in positions)
 
 
-def enumerate_partitions(m, cap=DEFAULT_CAP):
+def enumerate_partitions(m):
     """All of P(m) in RGS-lex order (this order is used everywhere)."""
-    if m < 1 or m > cap:
-        raise OrderTooLarge("m=%d outside 1..%d" % (m, cap))
+    if m < 1 or m > DEFAULT_CAP:
+        raise OrderTooLarge("m=%d outside 1..%d" % (m, DEFAULT_CAP))
     return list(_partitions(m))
 
 

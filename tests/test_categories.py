@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from freedf import categories
 from freedf.categories import (
     B_PLUS,
     GENERAL_CAP,
@@ -17,7 +18,7 @@ from freedf.categories import (
     parse_category,
 )
 from freedf.errors import OrderTooLarge, UnknownCategory
-from freedf.partitions import Partition, enumerate_partitions, is_noncrossing, kernel, leq, parse_partition
+from freedf.partitions import Partition, canonicalize, enumerate_partitions, is_noncrossing, kernel, leq, parse_partition
 
 ALL_CATS = (O_PLUS, S_PLUS, H_PLUS, B_PLUS)
 
@@ -79,6 +80,9 @@ def test_parse_category_unknown():
         with pytest.raises(UnknownCategory) as exc:
             parse_category(tag)
         assert "classification" in str(exc.value)
+    for m in (0, 3):  # a tag is not a category, at m = 0 too
+        with pytest.raises(UnknownCategory):
+            enumerate_category("s+", m)
 
 
 def test_contains_examples():
@@ -94,11 +98,38 @@ def test_contains_examples():
 def test_contains_matches_brute_force():
     for cat in ALL_CATS:
         for m in range(1, 8):
-            got = set(enumerate_category(cat, m))
-            want = set(p for p in enumerate_partitions(m) if brute_member(cat, p))
-            assert got == want, (cat, m)
             for p in enumerate_partitions(m):
                 assert category_contains(cat, p) == brute_member(cat, p)
+
+
+def test_contains_any_labels():
+    # the partition the labels describe, in every category alike
+    for cat in ALL_CATS:
+        for labels in ((1, 1), (0, 2, 2, 0), (5,), (3, 7, 3, 7), (4, 4, 9, 9, 9, 4)):
+            assert category_contains(cat, labels) == category_contains(cat, canonicalize(labels)), (cat, labels)
+    assert category_contains(O_PLUS, (0, 2, 2, 0)) and not category_contains(O_PLUS, (5,))
+
+
+def test_enumerate_is_filter_of_p_m_up_to_the_caps():
+    # the filter of P(m) is the oracle of the first-block recursion, order included
+    for cat in ALL_CATS:
+        for m in range(1, GENERAL_CAP + 1):
+            assert enumerate_category(cat, m) == [p for p in enumerate_partitions(m) if category_contains(cat, p)], (cat, m)
+
+
+def test_enumerate_builds_no_p_m(monkeypatch):
+    def refuse(m, **kwargs):
+        raise AssertionError("P(%d) built" % m)
+
+    monkeypatch.setattr(categories, "enumerate_partitions", refuse)
+    categories._category.cache_clear()
+    try:
+        assert len(enumerate_category(O_PLUS, PAIRING_CAP)) == 132
+        counts = {S_PLUS: 16796, H_PLUS: 273, B_PLUS: 2188}
+        for cat, count in counts.items():
+            assert len(enumerate_category(cat, GENERAL_CAP)) == count
+    finally:
+        categories._category.cache_clear()
 
 
 def test_enumerate_examples():
@@ -131,7 +162,7 @@ def test_enumerate_counts():
 
 
 def test_enumerate_pairings_against_brute_force():
-    for m in range(2, 11, 2):
+    for m in range(2, PAIRING_CAP + 1):
         want = sorted(p for p in set(brute_pairings(m)) if is_noncrossing(p))
         assert enumerate_category(O_PLUS, m) == want
 

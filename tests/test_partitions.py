@@ -167,9 +167,6 @@ def test_enumerate_cap():
         enumerate_partitions(11)
     with pytest.raises(OrderTooLarge):
         enumerate_partitions(0)
-    with pytest.raises(OrderTooLarge):
-        enumerate_partitions(7, cap=6)
-    assert len(enumerate_partitions(6, cap=6)) == 203
 
 
 def test_index_tuple_parsing():
