@@ -5,6 +5,8 @@ calculus, free moment-cumulant transforms, and de Finetti invariance
 tools, all in exact rational arithmetic.
 """
 
+import importlib
+
 from .categories import (
     B_PLUS,
     H_PLUS,
@@ -25,22 +27,6 @@ from .cumulants import (
     phi_pi,
     table_from_json,
 )
-from .definetti import (
-    CoefficientSlice,
-    InvarianceReport,
-    asymptotic_freeness_probe,
-    averaged_coefficients,
-    c_from_C,
-    C_from_c,
-    check_invariance,
-    generate_invariant_model,
-    normalized_block_sum,
-    reconstruct_infinite,
-    seed_coefficients,
-    semicircular_model,
-    solve_cumulant_coefficients,
-    solve_moment_coefficients,
-)
 from .errors import FreedfError
 from .partitions import (
     Partition,
@@ -52,10 +38,27 @@ from .partitions import (
     parse_partition,
     restrict,
 )
-from .posets import FinitePoset, mobius, mobius_to_top_full_lattice, mobius_to_top_nc
 from .weingarten import gram, haar_moment, verify_inverse, weingarten, wg_scaled
 
 __version__ = "0.1.0"
+
+# The names of __all__ not imported above are the de Finetti and poset
+# layers. They load on first use (PEP 562), so jobs that never reach them
+# do not compile them.
+_POSETS = ("FinitePoset", "mobius", "mobius_to_top_full_lattice", "mobius_to_top_nc")
+
+
+def __getattr__(name):
+    if name not in __all__:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    module = importlib.import_module(".posets" if name in _POSETS else ".definetti", __name__)
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "B_PLUS",

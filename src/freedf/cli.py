@@ -13,6 +13,11 @@ Exit codes: 0 success or PASS; 1 a FAIL verdict (check not PASS,
 asymptotics not DECAY), after the output is written; 2 usage or
 computation errors, an unwritable --output included (the latter with a
 machine-readable JSON object on stderr).
+
+The eight commands that call the de Finetti layer import it as the first
+statement of their bodies, so the other commands never compile it.
+Compiling it any later, once the inputs are read, raises the job's peak
+memory.
 """
 
 import functools
@@ -21,7 +26,6 @@ import sys
 
 import click
 
-from . import definetti
 from .categories import enumerate_category, parse_category
 from .cumulants import (
     cumulants_from_moments,
@@ -217,6 +221,7 @@ def transform_cmd(target, input_path):
 @_emits(text=_check_text, failed=lambda doc: doc["verdict"] != "PASS")
 def check_cmd(category_text, input_path, mode, tolerance):
     """Certify G_n-invariance. Exit 0 on PASS, 1 on FAIL."""
+    from . import definetti
     if mode == "rational" and tolerance is not None:
         raise SchemaError("rational mode never consults a tolerance; drop --tolerance")
     cat = parse_category(category_text)
@@ -234,6 +239,7 @@ def check_cmd(category_text, input_path, mode, tolerance):
 @_emits()
 def solve_cmd(category_text, which, m, input_path, no_fallback):
     """Extract c_pi (from moments) or C_pi (from cumulants) at order m."""
+    from . import definetti
     cat = parse_category(category_text)
     want = "moments" if which == "c" else "cumulants"
     table = _load_table(input_path, want, "solve --which " + which)
@@ -253,6 +259,7 @@ def solve_cmd(category_text, which, m, input_path, no_fallback):
 @_emits()
 def convert_cmd(direction, input_path):
     """Convert between the c_pi and C_pi coefficient families."""
+    from . import definetti
     source, target = direction.split("-to-")
     cat, M, family = parse_family(_load_json(input_path), kinds=(source,))
     convert = definetti.C_from_c if source == "c" else definetti.c_from_C
@@ -267,6 +274,7 @@ def convert_cmd(direction, input_path):
 @_emits()
 def generate_cmd(category_text, n, max_order, seed):
     """A seeded G_n-invariant moment table (kernel representation)."""
+    from . import definetti
     return definetti.generate_invariant_model(parse_category(category_text), n, max_order, seed).to_json()
 
 
@@ -276,6 +284,7 @@ def generate_cmd(category_text, n, max_order, seed):
 @_emits()
 def semicircular_cmd(n, max_order):
     """The standard semicircular family as a kernel moment table."""
+    from . import definetti
     return definetti.semicircular_model(n, max_order).to_json()
 
 
@@ -286,6 +295,7 @@ def semicircular_cmd(n, max_order):
 @_emits(text=_value_text)
 def reconstruct_cmd(category_text, input_path, i_text):
     """Moment of the infinite invariant sequence at an index tuple."""
+    from . import definetti
     cat = parse_category(category_text)
     _, _, family = parse_family(_load_json(input_path), kinds=("phi",))
     v = definetti.reconstruct_infinite(family, cat, parse_index_tuple(i_text))
@@ -300,6 +310,7 @@ def reconstruct_cmd(category_text, input_path, i_text):
 @_emits(failed=lambda doc: doc["verdict"] != "DECAY")
 def asymptotics_cmd(category_text, m, tolerance, input_paths):
     """Probe decay of the asymptotic-freeness classes across tables."""
+    from . import definetti
     cat = parse_category(category_text)
     models = [_load_table(p, "moments", "asymptotics") for p in input_paths]
     return definetti.asymptotic_freeness_probe(models, cat, m, tolerance=parse_rational(tolerance)).to_json()
@@ -311,6 +322,7 @@ def asymptotics_cmd(category_text, m, tolerance, input_paths):
 @_emits(text=_value_text)
 def block_sum_cmd(input_path, p_text):
     """Normalized block sum (1/n^k) sum_{ker >= p} of the moments."""
+    from . import definetti
     table = _load_table(input_path, "moments", "block-sum")
     p = parse_partition(p_text)
     return {"p": str(p), "n": table.n, "value": format_rational(definetti.normalized_block_sum(table, p))}

@@ -30,7 +30,7 @@ import itertools
 from fractions import Fraction
 from functools import cache, partial, reduce
 from math import lcm, prod
-from operator import add, eq, itemgetter, mul
+from operator import add, attrgetter, eq, itemgetter, mul
 
 from .errors import (
     IncompleteTable,
@@ -395,10 +395,23 @@ def cumulants_from_moments(mt):
 
 
 def scale_into(nums, layer):
-    """Store a layer in nums as integers over its least common denominator."""
-    D = lcm(*(v.denominator for v in layer.values()))
-    for key, v in layer.items():
-        nums[key] = v.numerator * (D // v.denominator)
+    """Store a layer in nums as integers over its least common denominator.
+
+    Each distinct value object is scaled once: a layer read from JSON, or
+    spread from kernel classes, shares one Fraction among many keys. The
+    scaled values reach the keys through the objects' ids only when some
+    object is shared.
+    """
+    values = layer.values()
+    ids = list(map(id, values))
+    distinct = dict(zip(ids, values))
+    objs = distinct.values()
+    dens = list(map(attrgetter("denominator"), objs))
+    D = lcm(*set(dens))
+    scaled = list(map(mul, map(attrgetter("numerator"), objs), map(D.__floordiv__, dens)))
+    if len(distinct) < len(ids):
+        scaled = map(dict(zip(distinct, scaled)).__getitem__, ids)
+    nums.update(zip(layer, scaled))
     return D
 
 

@@ -61,6 +61,10 @@ class SingularGram(FreedfError):
         return d
 
 
+class UncertifiedInverse(FreedfError):
+    code = "uncertified-inverse"
+
+
 class OrderExceeded(FreedfError):
     code = "order-exceeded"
 

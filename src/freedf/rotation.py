@@ -24,6 +24,13 @@ W[r^u c][y] = W[c][r^-u y]. The blocks take about N^3 / m^2 of the work
 of the full elimination. Both DFT sums, over t for the rows of K_j and
 over j for the rows of W, run on packed rows: one big-integer multiply-add
 per term, in nonnegative slots wide enough for the whole sum.
+
+Rows given at the representatives fill to a rotation-invariant matrix
+exactly when each row c is fixed by r^(L_c), which generates the
+stabiliser of c: the fill reads row r^u c, u < L_c, as row c at r^-u y,
+and row r^(L_c) c = c must agree with it. Rotation.invariant tests this,
+and it is what lets weingarten.py check a candidate on the representative
+columns only.
 """
 
 from functools import cache
@@ -57,6 +64,8 @@ class Rotation:
         k = len(reps)
         self.m, self.reps = m, reps
         self.stab = [m // L for L in length]
+        # r^(L_a), which generates the stabiliser of a
+        self.fix = [power[L % m] for L in length]
         # row r^u c of W or G is row c read at r^-u y
         self.back = [(a, power[-u % m]) for a, u in where]
         # spread[t][b]: the index of r^t b for t < L_b, else the sentinel
@@ -79,6 +88,11 @@ class Rotation:
     def fill(self, rows):
         """The full matrix from its rows at the representatives."""
         return [list(map(rows[a].__getitem__, perm)) for a, perm in self.back]
+
+    def invariant(self, rows):
+        """Whether each row at a representative c is fixed by r^(L_c), so
+        that fill(rows) is rotation-invariant."""
+        return all(list(map(row.__getitem__, perm)) == row for row, perm in zip(rows, self.fix))
 
     def inverse_rows(self, A, p):
         """The rows of A^-1 mod p at the representatives, or None when the

@@ -49,11 +49,19 @@ the rotation orbit representatives follow from the block inverses. For
 that the primes are p = 1 (mod 27720), 27720 = lcm(1..12), so every m up
 to the caps has its m-th roots of unity mod p; D and num do not depend on
 the primes. CRT and reconstruction run on the representative rows, and
-the candidate is filled by rotation. The block route only proposes: the
-filled (D, num) is accepted by the same full check G * num = D * I. A
-prime at which a block elimination stops gets the full elimination
-instead, and only full eliminations that stop feed the Hadamard proof, so
-SingularGram is raised exactly as without blocks.
+the candidate is filled by rotation. The block route only proposes, and
+the exact check accepts on the k representative columns alone. First each
+representative row c must be fixed by r^(L_c), which generates its
+stabiliser; then the filled num is rotation-invariant (rotation.py). G is
+too, so E = G * num - D * I has E[r x][r y] = E[x][y], and every column
+of E is a rotation of a representative column: E = 0 there gives E = 0.
+Cache loads and verify_inverse, which get num from elsewhere, keep the
+check on every column. A prime at which a block elimination stops gets the
+full elimination instead, and only full eliminations that stop feed the
+Hadamard proof, so SingularGram is raised exactly as without blocks.
+Proposals are bounded too: past the modulus at which true residues must
+reconstruct to the inverse, a candidate that fails raises
+UncertifiedInverse (see _ff_inverse).
 """
 
 import json
@@ -64,7 +72,7 @@ from functools import cache, cached_property, partial
 from itertools import chain, count
 from math import gcd, isqrt, perm, prod
 
-from .errors import FreedfError, NotInPoset, SchemaError, SingularGram, SizeMismatch, TableTooLarge
+from .errors import FreedfError, NotInPoset, SchemaError, SingularGram, SizeMismatch, TableTooLarge, UncertifiedInverse
 from .categories import enumerate_category, incidence
 from .cumulants import DENSE_GUARD, scale_into
 from .partitions import Partition, check_indices, num_blocks, parse_partition, relabel
@@ -276,21 +284,26 @@ def _reconstruct(X, P):
     return D, num
 
 
-def _is_gram_inverse(cat, m, n, num, D):
-    """Exact test of G * num == D * I over the integers.
+def _is_gram_inverse(cat, m, n, num, D, cols=None):
+    """Exact test of G * num == D * I over the integers, on the columns
+    cols of num (all of them by default).
 
-    Each row of num is packed into one integer, signed slots of a width
-    that holds every entry of the product (see the module docstring), so
-    row a of G * num is row a of _times_gram, compared with D in slot a
-    as one integer.
+    Each row of num, cut to those columns, is packed into one integer,
+    signed slots of a width that holds every entry of the product (see the
+    module docstring), so row a of G * num is row a of _times_gram,
+    compared with D in the slot of column a as one integer.
     """
-    size = len(num)
-    num_max = max(map(abs, chain.from_iterable(num)), default=0)
-    B = (((size * _top(cat, m, n) + 1) * num_max + abs(D)).bit_length() + 9) // 8
+    if cols is None:
+        cols, sel = range(len(num)), num
+    else:
+        sel = [list(map(row.__getitem__, cols)) for row in num]
+    num_max = max(map(abs, chain.from_iterable(sel)), default=0)
+    B = (((len(num) * _top(cat, m, n) + 1) * num_max + abs(D)).bit_length() + 9) // 8
     w, bias = 8 * B, 1 << 8 * B - 1
-    offset = _pack([bias] * size, B)
-    rows = [_pack([x + bias for x in row], B) - offset for row in num]
-    return all(r == D << a * w for a, r in enumerate(_times_gram(cat, m, n, rows)))
+    offset = _pack([bias] * len(cols), B)
+    rows = [_pack([x + bias for x in row], B) - offset for row in sel]
+    want = {a: D << i * w for i, a in enumerate(cols)}
+    return all(r == want.get(a, 0) for a, r in enumerate(_times_gram(cat, m, n, rows)))
 
 
 def _ff_inverse(A, is_inverse, rot=None):
@@ -305,8 +318,10 @@ def _ff_inverse(A, is_inverse, rot=None):
 
     With rot, the rotation of a rotation-invariant symmetric A (see
     rotation.py), each prime first inverts the blocks of A, and CRT and
-    reconstruction run on the rows at the orbit representatives only; the
-    candidate is filled by rotation before the same exact test. A prime at
+    reconstruction run on the rows at the orbit representatives only. A
+    candidate whose rows there are fixed by their stabilisers is filled by
+    rotation, which makes it rotation-invariant, and is_inverse(num, D,
+    rot.reps) tests it on the representative columns alone. A prime at
     which a block elimination stops runs the full elimination instead, and
     once a full elimination has stopped (as on every prime when A is
     singular) the later primes run it alone.
@@ -316,10 +331,17 @@ def _ff_inverse(A, is_inverse, rot=None):
     the latest such step multiply past the Hadamard bound of that minor,
     which proves it zero; a prime that completes proves every leading
     minor nonzero.
+
+    D divides det A and num = (D / det A) adj A, so H^2 =
+    _hadamard_sq(A, N) bounds D^2 and every num^2. Once P > 2 H^2, true
+    residues reconstruct to the true (D, num), which passes the test; a
+    candidate that fails there proves the residues wrong, and
+    UncertifiedInverse is raised instead of trying more primes.
     """
     X = None
     P = 1
     stops = {}
+    hsq = None
     for p in _primes():
         inv = rot.inverse_rows(A, p) if rot and not stops else None
         if inv is None:
@@ -342,9 +364,16 @@ def _ff_inverse(A, is_inverse, rot=None):
         got = _reconstruct(X, P)
         if got is not None:
             D, num = got
-            num = rot.fill(num) if rot else num
-            if is_inverse(num, D):
-                return D, num
+            if not rot:
+                if is_inverse(num, D):
+                    return D, num
+            elif rot.invariant(num):
+                num = rot.fill(num)
+                if is_inverse(num, D, rot.reps):
+                    return D, num
+        hsq = _hadamard_sq(A, len(A)) if hsq is None else hsq
+        if P > 2 * hsq:
+            raise UncertifiedInverse("no inverse passed the exact check at a %d-bit modulus" % P.bit_length())
 
 
 @cache

@@ -857,3 +857,35 @@ def test_reader_edge_cases_match_per_key_reader():
         got = read_outcome(table_from_json, doc)
         assert got == read_outcome(reference_table_from_json, doc), name
         assert got[0] is error, (name, got)
+
+
+def scale_per_entry(nums, layer):
+    """scale_into as it was, one multiply per entry: its oracle."""
+    D = lcm(*(v.denominator for v in layer.values()))
+    for key, v in layer.items():
+        nums[key] = v.numerator * (D // v.denominator)
+    return D
+
+
+def test_scale_into_matches_the_per_entry_scaling():
+    dense = table_from_json(generate_invariant_model(S_PLUS, 4, 5, seed=8).to_dense().to_json())
+    kernel = generate_invariant_model(S_PLUS, 5, 6, seed=8)
+    rng = random.Random(5)
+    layers = []
+    for table in (dense, kernel):
+        for m in (1, 3, table.max_order):
+            shared = table.values[m]
+            # the same values, one fresh object per entry
+            unshared = {key: Fraction(v.numerator, v.denominator) for key, v in shared.items()}
+            # a few shared objects among fresh ones, ints included
+            mixed = {key: rng.choice((Fraction(1, 3), -7, v, Fraction(v))) for key, v in shared.items()}
+            layers += [shared, unshared, mixed]
+    top_dense, top_kernel = layers[6], layers[16]  # order max_order, shared and unshared
+    assert len({id(v) for v in top_dense.values()}) < len(top_dense) // 10
+    assert len({id(v) for v in top_kernel.values()}) == len(top_kernel)
+    layers += [{}, {(1,): Fraction(5, 6)}, dict.fromkeys(kernel.values[4], Fraction(-2, 9))]
+    for layer in layers:
+        for start in ({}, {(9, 9): 4}):
+            got, want = dict(start), dict(start)
+            assert scale_into(got, layer) == scale_per_entry(want, layer)
+            assert list(got.items()) == list(want.items())

@@ -10,7 +10,15 @@ from hypothesis import given, settings, strategies as st
 from math import comb, gcd, lcm, prod
 
 from freedf.categories import B_PLUS, H_PLUS, O_PLUS, S_PLUS, enumerate_category
-from freedf.errors import NotInPoset, SchemaError, SingularGram, SizeMismatch, TableTooLarge
+from freedf.errors import (
+    FreedfError,
+    NotInPoset,
+    SchemaError,
+    SingularGram,
+    SizeMismatch,
+    TableTooLarge,
+    UncertifiedInverse,
+)
 from freedf.partitions import join_num_blocks, one_block, parse_partition, relabel, singletons
 from freedf.rationals import format_rational
 from freedf.weingarten import (
@@ -834,3 +842,163 @@ def test_a_block_stop_falls_back_to_the_full_elimination(monkeypatch):
     with pytest.raises(SingularGram):
         weingarten(S_PLUS, 7, 3)
     assert len(tries) == 1
+
+
+# The certificate of a block-route candidate: each representative row is
+# fixed by its stabiliser, so the filled candidate num is rotation-invariant,
+# and so is G num - D I; zero on the representative columns, it is zero.
+
+
+def rep_verdict(cat, m, n, rows, D):
+    """The acceptance test of _ff_inverse for a candidate given by its rows
+    at the rotation orbit representatives."""
+    rot = rotation_module.rotation(cat, m)
+    return rot.invariant(rows) and _is_gram_inverse(cat, m, n, rot.fill(rows), D, rot.reps)
+
+
+def rotation_orbits(basis):
+    """orbit[x]: the indices of r^u x for u < L_x, found by relabelling each
+    rotated partition, independently of rotation.py."""
+    index = {p: x for x, p in enumerate(basis)}
+    step = [index[relabel(p[-1:] + p[:-1])] for p in basis]
+    orbits = []
+    for x in range(len(basis)):
+        orbit = [x]
+        while step[orbit[-1]] != x:
+            orbit.append(step[orbit[-1]])
+        orbits.append(orbit)
+    return orbits
+
+
+def off_stabiliser_pair(cat, m, reps):
+    """(c, y, z) with c a representative of orbit length L_c < m and
+    z = r^(L_c) y != y, such that no r^u y with u < 2 L_c is a representative.
+    Moving W[c][y] up and W[c][z] down by the same amount then leaves the
+    representative columns of the filled matrix unchanged."""
+    orbits = rotation_orbits(enumerate_category(cat, m))
+    for c in reps:
+        L = len(orbits[c])
+        for y, orbit in enumerate(orbits):
+            path = [orbit[u % len(orbit)] for u in range(2 * L)]
+            if L < m and path[L] != y and not set(path) & set(reps):
+                return c, y, path[L]
+    return None
+
+
+def certificate_cases():
+    """All four categories at 2 <= m <= 8 (s+ at m <= 7), n in {1, 2, 3, 4, 7},
+    with a nonempty basis."""
+    for cat in ALL_CATS:
+        for m in range(2, 8 if cat is S_PLUS else 9):
+            if enumerate_category(cat, m):
+                for n in (1, 2, 3, 4, 7):
+                    yield cat, m, n
+
+
+def test_representative_columns_decide_as_the_full_check(monkeypatch):
+    monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)
+    rng = random.Random(23)
+    checked = 0
+    for cat, m, n in certificate_cases():
+        try:
+            wg = weingarten(cat, m, n)
+        except SingularGram:
+            continue
+        rot = rotation_module.rotation(cat, m)
+        rows = [wg.num[c] for c in rot.reps]
+        k, size, D = len(rows), len(wg.num), wg.D
+
+        def changed(*edits):
+            out = [list(row) for row in rows]
+            for a, y, dv in edits:
+                out[a][y] += dv
+            return out
+
+        candidates = [(D, rows, True), (2 * D, [[2 * x for x in row] for row in rows], True)]
+        candidates += [(bad, rows, False) for bad in (D + 1, D - 1, -D)]
+        for dv in (1, -1, D, 2 ** rng.randint(1, 100)):
+            candidates.append((D, changed((rng.randrange(k), rng.randrange(size), dv)), False))
+        pair = off_stabiliser_pair(cat, m, rot.reps)
+        if pair:
+            c, y, z = pair
+            a = rot.reps.index(c)
+            candidates.append((D, changed((a, y, 1), (a, z, -1)), False))
+        for bad_D, cand, want in candidates:
+            full = _is_gram_inverse(cat, m, n, rot.fill(cand), bad_D)
+            assert full == want and rep_verdict(cat, m, n, cand, bad_D) == want, (cat, m, n, bad_D)
+        checked += 1
+    assert checked >= 40
+
+
+def corrupted_inverse_rows(rows, D, calls):
+    """A stand-in for Rotation.inverse_rows: the residues of rows / D at every
+    prime, counted in calls."""
+
+    def inverse_rows(self, A, p):
+        calls.append(p)
+        inv = pow(D, -1, p)
+        return [[x * inv % p for x in row] for row in rows]
+
+    return inverse_rows
+
+
+def primes_past(bound):
+    """The number of primes of the fixed sequence whose product first exceeds bound."""
+    P = 1
+    for k, p in enumerate(_primes(), 1):
+        P *= p
+        if P > bound:
+            return k
+
+
+def test_a_row_off_its_stabiliser_passes_the_columns_alone(monkeypatch):
+    monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)
+    for cat, m, n in ((S_PLUS, 6, 4), (O_PLUS, 12, 3), (H_PLUS, 8, 3)):
+        wg = weingarten(cat, m, n)
+        rot = rotation_module.rotation(cat, m)
+        c, y, z = off_stabiliser_pair(cat, m, rot.reps)
+        assert rot.stab[rot.reps.index(c)] > 1 and y not in rot.reps and z not in rot.reps
+        # W with only row c moved: the representative columns still hold
+        bad = [list(row) for row in wg.num]
+        bad[c][y] += 1
+        bad[c][z] -= 1
+        assert _is_gram_inverse(cat, m, n, bad, wg.D, rot.reps)
+        assert not _is_gram_inverse(cat, m, n, bad, wg.D)
+        assert not rot.invariant([bad[x] for x in rot.reps])
+        # filled by rotation, the moved row keeps the representative columns
+        # too, so only the stabiliser test can reject it: residues of this
+        # candidate at every prime end in UncertifiedInverse
+        rows = [bad[x] for x in rot.reps]
+        assert _is_gram_inverse(cat, m, n, rot.fill(rows), wg.D, rot.reps)
+        assert not _is_gram_inverse(cat, m, n, rot.fill(rows), wg.D)
+        calls = []
+        A = gram(cat, m, n).num
+        with monkeypatch.context() as mp:
+            mp.setattr(rotation_module.Rotation, "inverse_rows", corrupted_inverse_rows(rows, wg.D, calls))
+            with pytest.raises(UncertifiedInverse):
+                _ff_inverse(A, partial(_is_gram_inverse, cat, m, n), rot)
+        assert len(calls) == primes_past(2 * wg_module._hadamard_sq(A, len(A))), (cat, m, n)
+
+
+def test_wrong_residues_stop_past_the_hadamard_bound(monkeypatch):
+    monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)
+    for cat, m, n in ((O_PLUS, 4, 2), (S_PLUS, 5, 4), (B_PLUS, 6, 3)):
+        wg = weingarten(cat, m, n)
+        rot = rotation_module.rotation(cat, m)
+        rows = [list(wg.num[c]) for c in rot.reps]
+        rows[0][-1] += 1  # one wrong entry
+        A = gram(cat, m, n).num
+        limit = primes_past(2 * wg_module._hadamard_sq(A, len(A)))
+        calls = []
+        with monkeypatch.context() as mp:
+            mp.setattr(rotation_module.Rotation, "inverse_rows", corrupted_inverse_rows(rows, wg.D, calls))
+            with pytest.raises(UncertifiedInverse):
+                _ff_inverse(A, partial(_is_gram_inverse, cat, m, n), rot)
+            assert len(calls) == limit, (cat, m, n)
+            # the same through weingarten(), as a typed error
+            weingarten.cache_clear()
+            with pytest.raises(UncertifiedInverse) as err:
+                weingarten(cat, m, n)
+        assert isinstance(err.value, FreedfError) and err.value.payload()["error"] == "uncertified-inverse"
+        weingarten.cache_clear()
+        assert (weingarten(cat, m, n).D, weingarten(cat, m, n).num) == (wg.D, wg.num)
