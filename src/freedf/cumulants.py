@@ -15,18 +15,19 @@ phi on each gap of V, 2^(m-1) terms instead of |NC(m)|. Only the term
 V = [m] is of order m, so one recursion, run upward, serves both
 directions.
 
-Every dense layer of a Table is a dict in itertools.product order, the
-order to_json writes: Table() checks this in one streaming comparison
-and rebuilds a layer given in another order once. A dense layer depends
-on words only through their kernels iff it is S_n-invariant, which
-Table.kernel_layer tests by position; a table whose every layer passes
-is transformed on its kernel classes, any other by position, a cut word
-found by its rank. A layer whose texts are the ones to_json writes, in
-order, is read in one pass; in any other a key is parsed only when its
-text differs from the expected one at its position.
+Every dense layer of a Table is a DenseLayer: the list of its values in
+itertools.product order, the order to_json writes, behind a mapping
+keyed by words, a word's position found by Horner's rule. A dense layer
+depends on words only through their kernels iff it is S_n-invariant,
+which Table.kernel_layer tests by position; a table whose every layer
+passes is transformed on its kernel classes, any other by position, a
+cut word found by its rank. A layer whose texts are the ones to_json
+writes, in order, is read in one pass into a list; in any other a key is
+parsed only when its text differs from the expected one at its position.
 """
 
 import itertools
+from collections.abc import ItemsView, MutableMapping, ValuesView
 from fractions import Fraction
 from functools import cache, partial, reduce
 from math import lcm, prod
@@ -101,20 +102,68 @@ def _words(n, m):
     return itertools.product(range(1, n + 1), repeat=m)
 
 
-def _stray_key(layer, m, n, repr):
-    """A key of a full-size layer that is not an expected key, or None.
+class DenseLayer(MutableMapping):
+    """Order m of a dense table: vals lists the value of each word of [n]^m
+    in itertools.product order. Its keys are exactly those words: any
+    other key is a KeyError, and no word can be deleted."""
 
-    A dense layer of n^m distinct keys is exactly [n]^m when every key is
-    an m-tuple over [n], so [n]^m is not built next to the table.
-    """
-    if repr == KERNEL:
-        classes = set(kernel_classes(m, n))
-        return next((key for key in layer if key not in classes), None)
-    labels = set(range(1, n + 1))
-    return next((key for key in layer if not (isinstance(key, tuple) and len(key) == m and set(key) <= labels)), None)
+    __slots__ = ("n", "m", "vals")
+
+    def __init__(self, n, m, vals):
+        self.n, self.m, self.vals = n, m, vals
+
+    def rank(self, word):
+        """A word's position in product order, by Horner's rule."""
+        n = self.n
+        if isinstance(word, tuple) and len(word) == self.m and all(isinstance(a, int) and 0 < a <= n for a in word):
+            return reduce(lambda r, a: r * n + a - 1, word, 0)
+        raise KeyError(word)
+
+    def __getitem__(self, word):
+        return self.vals[self.rank(word)]
+
+    def __setitem__(self, word, value):
+        self.vals[self.rank(word)] = value
+
+    def __delitem__(self, word):
+        raise TypeError("a dense layer keeps every word of [n]^m; %r cannot be deleted" % (word,))
+
+    def __iter__(self):
+        return _words(self.n, self.m)
+
+    def __len__(self):
+        return len(self.vals)
+
+    def values(self):
+        return _Values(self)
+
+    def items(self):
+        return _Items(self)
+
+    def __eq__(self, other):
+        if isinstance(other, DenseLayer):
+            return (self.n, self.m, self.vals) == (other.n, other.m, other.vals)
+        return super().__eq__(other)
+
+    def __repr__(self):
+        return "DenseLayer(%r)" % dict(self.items())
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping.vals)
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.vals)
 
 
 class Table:
+    """Per order, a DenseLayer (repr dense) or a dict keyed by kernel
+    classes. A dense order is given as a mapping keyed by words or as the
+    list of its values in product order, which the table keeps."""
+
     kind = None
 
     def __init__(self, n, max_order, values, repr=DENSE):
@@ -125,19 +174,27 @@ class Table:
         self.n = n
         self.max_order = max_order
         self.repr = repr
-        self.values = {m: dict(values.get(m, {})) for m in range(1, max_order + 1)}
+        self.values = {}
         for m in range(1, max_order + 1):
-            layer = self.values[m]
+            layer = values.get(m, {})
             want = n ** m if repr == DENSE else len(kernel_classes(m, n))
             if len(layer) != want:
                 raise IncompleteTable("order %d has %d entries, expected %d" % (m, len(layer), want))
-            if repr == DENSE and all(map(eq, layer, _words(n, m))):
-                continue  # n^m keys equal to the words of [n]^m, in product order
-            stray = _stray_key(layer, m, n, repr)
-            if stray is not None:
-                raise SchemaError("order %d carries an unexpected key %r" % (m, stray))
-            if repr == DENSE:
-                self.values[m] = {i: layer[i] for i in _words(n, m)}
+            if repr == KERNEL:
+                layer, classes = dict(layer), set(kernel_classes(m, n))
+                stray = [key for key in layer if key not in classes]
+            elif isinstance(layer, list):
+                layer, stray = DenseLayer(n, m, layer), ()
+            elif all(map(eq, layer, _words(n, m))):  # the words of [n]^m, in product order
+                layer, stray = DenseLayer(n, m, list(layer.values())), ()
+            else:  # n^m distinct words of [n]^m are all of them
+                layer, given = DenseLayer(n, m, [None] * want), layer
+                stray = [key for key in given if key not in layer]
+                if not stray:
+                    layer.update(given)
+            if stray:
+                raise SchemaError("order %d carries an unexpected key %r" % (m, stray[0]))
+            self.values[m] = layer
 
     def value(self, i):
         """The entry at an index tuple (1-based values in [n])."""
@@ -160,7 +217,7 @@ class Table:
         is read at its first word in product order, its representative."""
         if self.repr == KERNEL:
             return self.values[m]
-        n, vals = self.n, list(self.values[m].values())
+        n, vals = self.n, self.values[m].vals
         for label in ([1, 0, *range(2, n)], [*range(1, n), 0]) if n > 1 else ():
             if list(map(vals.__getitem__, _ranks(range(m), n, m, label))) != vals:
                 return None
@@ -195,9 +252,8 @@ class Table:
         if self.repr == DENSE:
             return self
         _check_dense_size(self.n, self.max_order)
-        n, vals = self.n, {}
-        for m, layer in self.values.items():
-            vals[m] = dict(zip(_words(n, m), map(layer.__getitem__, tuple_kernels(m, n))))
+        n = self.n
+        vals = {m: list(map(layer.__getitem__, tuple_kernels(m, n))) for m, layer in self.values.items()}
         return type(self)(self.n, self.max_order, vals, repr=DENSE)
 
     def to_json(self):
@@ -206,7 +262,7 @@ class Table:
         for m in range(1, self.max_order + 1):
             layer = self.values[m]
             if self.repr == DENSE:  # product order is sorted order
-                vals[str(m)] = dict(zip(product_texts(self.n, m), map(write, layer.values())))
+                vals[str(m)] = dict(zip(product_texts(self.n, m), map(write, layer.vals)))
             else:
                 vals[str(m)] = {render_index_tuple(key): write(layer[key]) for key in sorted(layer)}
         return {
@@ -254,14 +310,15 @@ _NO_TEXT = object()  # a text no key equals
 _PAST_END = itertools.repeat((None, _NO_TEXT))
 
 
-def parse_layers(raw, max_order, parse_key, expected, texts=None):
+def parse_layers(raw, max_order, parse_key, expected, texts=None, as_list=False):
     """{m: {key: Fraction}} for m = 1..max_order from {"m": {text: value}}.
 
     expected(m) yields the keys of order m in the order to_json writes
     them, and texts(m) their texts (str of each key by default); order m
     must carry exactly these keys, each given once. A layer of exactly
-    these texts is built in one pass; elsewhere a text differing from the
-    expected one at its position is read by parse_key(text, m).
+    these texts is built in one pass, as the list of its values if
+    as_list; elsewhere a text differing from the expected one at its
+    position is read by parse_key(text, m), and the layer is a dict.
     """
     texts = texts or (lambda m: map(str, expected(m)))
     if not isinstance(raw, dict):
@@ -275,7 +332,8 @@ def parse_layers(raw, max_order, parse_key, expected, texts=None):
             raise SchemaError("values for order %d must be an object keyed by entry" % m)
         # zip_longest pads the shorter side, so a missing or extra key fails too
         if all(itertools.starmap(eq, itertools.zip_longest(layer_doc, texts(m), fillvalue=_NO_TEXT))):
-            out[m] = dict(zip(expected(m), read_rationals(layer_doc.values())))
+            vals = read_rationals(layer_doc.values())
+            out[m] = list(vals) if as_list else dict(zip(expected(m), vals))
             continue
         layer, read = {}, rational_reader()
         want = zip(expected(m), texts(m))
@@ -323,7 +381,7 @@ def table_from_json(doc):
                 raise SchemaError("tuple %r under order %d has length %d" % (text, m, len(key)))
             return key
 
-        values = parse_layers(doc["values"], max_order, tuple_key, partial(_words, n), partial(product_texts, n))
+        values = parse_layers(doc["values"], max_order, tuple_key, partial(_words, n), partial(product_texts, n), True)
     cls = MomentTable if kind == "moments" else CumulantTable
     return cls(n, max_order, values, repr=rep)
 
@@ -394,15 +452,12 @@ def cumulants_from_moments(mt):
     return CumulantTable(mt.n, mt.max_order, _transform(mt, to_moments=False), repr=mt.repr)
 
 
-def scale_into(nums, layer):
-    """Store a layer in nums as integers over its least common denominator.
-
-    Each distinct value object is scaled once: a layer read from JSON, or
-    spread from kernel classes, shares one Fraction among many keys. The
-    scaled values reach the keys through the objects' ids only when some
-    object is shared.
+def to_integers(values):
+    """(D, ints): the values, in order, as integers over their least common
+    denominator D. Each distinct value object is scaled once: a layer read
+    from JSON, or spread from kernel classes, shares one Fraction among
+    many keys, and the ids map the objects back only when one is shared.
     """
-    values = layer.values()
     ids = list(map(id, values))
     distinct = dict(zip(ids, values))
     objs = distinct.values()
@@ -410,7 +465,13 @@ def scale_into(nums, layer):
     D = lcm(*set(dens))
     scaled = list(map(mul, map(attrgetter("numerator"), objs), map(D.__floordiv__, dens)))
     if len(distinct) < len(ids):
-        scaled = map(dict(zip(distinct, scaled)).__getitem__, ids)
+        scaled = list(map(dict(zip(distinct, scaled)).__getitem__, ids))
+    return D, scaled
+
+
+def scale_into(nums, layer):
+    """Store a mapping's values in nums, by key, as to_integers; return D."""
+    D, scaled = to_integers(layer.values())
     nums.update(zip(layer, scaled))
     return D
 
@@ -444,7 +505,8 @@ def _transform(table, to_moments):
         views = list(itertools.takewhile(lambda view: view is not None, map(table.kernel_layer, range(1, M + 1))))
         if len(views) == M:
             kernel = Table(n, M, dict(enumerate(views, 1)), repr=KERNEL)
-            return Table(n, M, _transform(kernel, to_moments), repr=KERNEL).to_dense().values
+            spread = Table(n, M, _transform(kernel, to_moments), repr=KERNEL).to_dense()
+            return {m: layer.vals for m, layer in spread.values.items()}
     src, dst = ({}, {}) if dense else (_Words(), _Words())
     den_src, den_dst = {}, {}
     if to_moments:
@@ -454,23 +516,27 @@ def _transform(table, to_moments):
     out = {}
     for m in range(1, M + 1):
         layer = table.values[m]
-        den_src[m] = scale_into(src.setdefault(m, {}) if dense else src, layer)
+        if dense:
+            den_src[m], src[m] = to_integers(layer.vals)
+        else:
+            den_src[m] = scale_into(src, layer)
         shapes = first_block_shapes(m)
         dens = [den_kappa[len(V)] * prod(den_phi[len(g)] for g in gaps) for V, gaps, _, _ in shapes]
         dstar = lcm(den_src[m], *dens)
         mults = [sign * (dstar // d) for d in dens]
         lead = dstar // den_src[m]
         if dense:
-            acc = [v * lead for v in src[m].values()]
+            acc = [v * lead for v in src[m]]
             runs = {g: _ranks(g, n, m) for g in {g for _, gaps, _, _ in shapes for g in gaps}}
             for (V, gaps, _, _), mult in zip(shapes, mults):
-                if any(kappa[len(V)].values()):
-                    term = map([mult * k for k in kappa[len(V)].values()].__getitem__, _ranks(V, n, m))
+                if any(kappa[len(V)]):
+                    term = map([mult * k for k in kappa[len(V)]].__getitem__, _ranks(V, n, m))
                     for g in gaps:
-                        term = map(mul, term, map(list(phi[len(g)].values()).__getitem__, runs[g]))
+                        term = map(mul, term, map(phi[len(g)].__getitem__, runs[g]))
                     acc = list(map(add, acc, term))
             fractions = {a: Fraction(a, dstar) for a in set(acc)}
-            res = dict(zip(layer, map(fractions.__getitem__, acc)))
+            res = list(map(fractions.__getitem__, acc))
+            den_dst[m], dst[m] = to_integers(res)
         else:
             terms = [(cut_v, cut_gaps, mult) for (_, _, cut_v, cut_gaps), mult in zip(shapes, mults)]
             res = {}
@@ -484,6 +550,6 @@ def _transform(table, to_moments):
                             term *= phi[cut(key)]
                         acc += term
                 res[key] = Fraction(acc, dstar)
-        den_dst[m] = scale_into(dst.setdefault(m, {}) if dense else dst, res)
+            den_dst[m] = scale_into(dst, res)
         out[m] = res
     return out

@@ -41,6 +41,7 @@ from .cumulants import (
     moments_from_cumulants,
     representative_tuple,
     scale_into,
+    to_integers,
     tuple_kernels,
 )
 from .errors import (
@@ -121,22 +122,21 @@ def averaged_coefficients(mt, cat, m):
 def _averaged(mt, cat, m, view):
     """(coefficients, nums, c, D, L) for Weingarten averaging at order m.
 
-    nums holds the entries of view = mt.kernel_layer(m), or else of the
-    dense order, as integers over their common denominator L, and (D,
-    num) is the integer form of Wg, so each coefficient is one integer
-    dot product c_sigma, and c^avg_sigma = c_sigma / (D * L).
+    nums lists the entries of view = mt.kernel_layer(m), or else of the
+    dense order, in order, as integers over their common denominator L,
+    and (D, num) is the integer form of Wg, so each coefficient is one
+    integer dot product c_sigma, and c^avg_sigma = c_sigma / (D * L).
     """
-    nums = {}
-    L = scale_into(nums, mt.values[m] if view is None else view)
+    L, nums = to_integers((mt.values[m] if view is None else view).values())
     basis = enumerate_category(cat, m)
     if not basis:
         return {}, nums, [], 1, L
     n = mt.n
     if view is not None:
-        sums = {tau: perm(n, num_blocks(tau)) * v for tau, v in nums.items()}
+        sums = {tau: perm(n, num_blocks(tau)) * v for tau, v in zip(view, nums)}
     else:
         sums = {}
-        for v, tau in zip(nums.values(), tuple_kernels(m, n)):
+        for v, tau in zip(nums, tuple_kernels(m, n)):
             sums[tau] = sums.get(tau, 0) + v
     below = incidence(cat, m, n)
     S = [0] * len(basis)
@@ -194,8 +194,9 @@ def check_invariance(mt, cat, up_to=None, tolerance=None):
             predicted[tau] = Fraction(P, D * L)
             target[tau] = P // D if P % D == 0 else None
         if view is None:  # a dense order that is not kernel-representable
-            rows = zip(tuple_kernels(m, n), layer.items(), nums.values())
+            rows = zip(tuple_kernels(m, n), layer.items(), nums)
         else:
+            nums = dict(zip(view, nums))
             rows = ((tau, (representative_tuple(tau), view[tau]), nums[tau]) for tau in sorted(view))
         layer_resid, bad = {}, []
         for tau, (i, a), A in rows:
@@ -456,9 +457,8 @@ def generate_invariant_model(cat, n, M, seed):
         raise ValueError("invariance machinery for %s needs n >= %d, got n=%d" % (cat, floor, n))
     layers = {}
     for m, sl in seed_coefficients(cat, n, M, seed).items():
-        nums = {}
-        L = scale_into(nums, sl)
-        layers[m] = {tau: Fraction(v, L) for tau, v in _incident_sums(list(nums.values()), cat, m, n).items()}
+        L, nums = to_integers(sl.values())
+        layers[m] = {tau: Fraction(v, L) for tau, v in _incident_sums(nums, cat, m, n).items()}
     ct = CumulantTable(n, M, layers, repr=KERNEL)
     return moments_from_cumulants(ct)
 
@@ -512,11 +512,10 @@ def reconstruct_infinite(phi_tilde, cat, i):
     if category_contains(cat, tau):  # then the sum is phi~(tau) itself
         return Fraction(view[tau])
     down = sorted(c_leq_kernel(cat, tau), key=num_blocks, reverse=True)
-    nums = {}
-    L = scale_into(nums, {sigma: view[sigma] for sigma in down})
+    L, nums = to_integers([view[sigma] for sigma in down])
     at = {sigma: a for a, sigma in enumerate(down)}
     below = [[at[p] for p in c_leq_kernel(cat, sigma)] for sigma in down]
-    c = _forward_substitute(list(nums.values()), below, range(len(down)))
+    c = _forward_substitute(nums, below, range(len(down)))
     return Fraction(sum(c), L)
 
 
