@@ -161,8 +161,9 @@ class _Items(ItemsView):
 
 class Table:
     """Per order, a DenseLayer (repr dense) or a dict keyed by kernel
-    classes. A dense order is given as a mapping keyed by words or as the
-    list of its values in product order, which the table keeps."""
+    classes, each held in the order to_json writes it (kernel_classes
+    order for a kernel layer). A dense order is given as the list of its
+    values in product order, which the table keeps, or as a mapping."""
 
     kind = None
 
@@ -180,13 +181,13 @@ class Table:
             want = n ** m if repr == DENSE else len(kernel_classes(m, n))
             if len(layer) != want:
                 raise IncompleteTable("order %d has %d entries, expected %d" % (m, len(layer), want))
-            if repr == KERNEL:
-                layer, classes = dict(layer), set(kernel_classes(m, n))
-                stray = [key for key in layer if key not in classes]
+            if repr == KERNEL:  # as many keys as classes, none stray, are all of them
+                classes = kernel_classes(m, n)
+                stray = list(itertools.filterfalse(set(classes).__contains__, layer))
+                if not stray:
+                    layer = {tau: layer[tau] for tau in classes}
             elif isinstance(layer, list):
                 layer, stray = DenseLayer(n, m, layer), ()
-            elif all(map(eq, layer, _words(n, m))):  # the words of [n]^m, in product order
-                layer, stray = DenseLayer(n, m, list(layer.values())), ()
             else:  # n^m distinct words of [n]^m are all of them
                 layer, given = DenseLayer(n, m, [None] * want), layer
                 stray = [key for key in given if key not in layer]
@@ -206,10 +207,6 @@ class Table:
             raise OrderExceeded("order %d beyond table max_order %d" % (m, self.max_order))
         check_indices(i, self.n)
         return self.values[m][i if self.repr == DENSE else kernel(i)]
-
-    def kernel_value(self, m, tau):
-        """The value on the kernel class tau of order m."""
-        return self.value(representative_tuple(tau))
 
     def kernel_layer(self, m):
         """{tau: value} of order m, or None for a dense order not invariant
@@ -261,10 +258,8 @@ class Table:
         write = rational_writer()
         for m in range(1, self.max_order + 1):
             layer = self.values[m]
-            if self.repr == DENSE:  # product order is sorted order
-                vals[str(m)] = dict(zip(product_texts(self.n, m), map(write, layer.vals)))
-            else:
-                vals[str(m)] = {render_index_tuple(key): write(layer[key]) for key in sorted(layer)}
+            texts = product_texts(self.n, m) if self.repr == DENSE else map(render_index_tuple, layer)
+            vals[str(m)] = dict(zip(texts, map(write, layer.values())))
         return {
             "n": self.n,
             "max_order": self.max_order,
@@ -313,12 +308,13 @@ _PAST_END = itertools.repeat((None, _NO_TEXT))
 def parse_layers(raw, max_order, parse_key, expected, texts=None, as_list=False):
     """{m: {key: Fraction}} for m = 1..max_order from {"m": {text: value}}.
 
-    expected(m) yields the keys of order m in the order to_json writes
-    them, and texts(m) their texts (str of each key by default); order m
-    must carry exactly these keys, each given once. A layer of exactly
-    these texts is built in one pass, as the list of its values if
-    as_list; elsewhere a text differing from the expected one at its
-    position is read by parse_key(text, m), and the layer is a dict.
+    raw must carry exactly the orders "1".."max_order". expected(m) yields
+    the keys of order m in the order to_json writes them, and texts(m)
+    their texts (str of each key by default); order m must carry exactly
+    these keys, each given once. A layer of exactly these texts is built
+    in one pass, as the list of its values if as_list; elsewhere a text
+    differing from the expected one at its position is read by
+    parse_key(text, m), and the layer is a dict.
     """
     texts = texts or (lambda m: map(str, expected(m)))
     if not isinstance(raw, dict):
@@ -353,6 +349,9 @@ def parse_layers(raw, max_order, parse_key, expected, texts=None, as_list=False)
         stray = set(layer).difference(expected(m))
         if stray:
             raise SchemaError("order %d carries an unexpected key %r" % (m, render_index_tuple(min(stray))))
+    stray = [text for text in raw if text not in map(str, range(1, max_order + 1))]
+    if stray:
+        raise SchemaError("values carries an unexpected order %r" % (stray[0],))
     return out
 
 
@@ -504,9 +503,8 @@ def _transform(table, to_moments):
     if dense:
         views = list(itertools.takewhile(lambda view: view is not None, map(table.kernel_layer, range(1, M + 1))))
         if len(views) == M:
-            kernel = Table(n, M, dict(enumerate(views, 1)), repr=KERNEL)
-            spread = Table(n, M, _transform(kernel, to_moments), repr=KERNEL).to_dense()
-            return {m: layer.vals for m, layer in spread.values.items()}
+            kernel = _transform(Table(n, M, dict(enumerate(views, 1)), repr=KERNEL), to_moments)
+            return {m: list(map(layer.__getitem__, tuple_kernels(m, n))) for m, layer in kernel.items()}
     src, dst = ({}, {}) if dense else (_Words(), _Words())
     den_src, den_dst = {}, {}
     if to_moments:

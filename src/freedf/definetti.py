@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, perm
+from operator import ne
 
 from .categories import O_PLUS, S_PLUS, c_leq_kernel, category_contains, enumerate_category, incidence
 from .cumulants import (
@@ -163,7 +164,9 @@ def check_invariance(mt, cat, up_to=None, tolerance=None):
     averaging, which raises SingularGram when the Gram matrix is
     singular and TableTooLarge when |C(m)|^2 exceeds DENSE_GUARD, and
     each class (word, in a dense order without classes) is compared with
-    the re-summed coefficients. Only averaged orders use FREEDF_CACHE_DIR.
+    the re-summed coefficients (_incident_sums) in one integer pass, in
+    class order; only a failing class builds a Fraction. Only averaged
+    orders use FREEDF_CACHE_DIR.
 
     With a tolerance, a nonzero residual fails only when it exceeds
     tolerance * max(1, |expected|); every residual is tested before the
@@ -185,27 +188,19 @@ def check_invariance(mt, cat, up_to=None, tolerance=None):
             except NotInvariant:
                 pass  # averaging finds the same coefficients and the witnesses
         coefficients[m], nums, c, D, L = _averaged(mt, cat, m, view)
+        sums = _incident_sums(c, cat, m, n)
         # an entry a = A / L equals the prediction P / (D * L) iff A * D == P
-        below = incidence(cat, m, n)
-        predicted = {}
-        target = {}
-        for tau in kernel_classes(m, n):
-            P = sum(c[a] for a in below.get(tau, ()))
-            predicted[tau] = Fraction(P, D * L)
-            target[tau] = P // D if P % D == 0 else None
+        target = {tau: P // D if P % D == 0 else None for tau, P in sums.items()}
         if view is None:  # a dense order that is not kernel-representable
-            rows = zip(tuple_kernels(m, n), layer.items(), nums)
+            keys, entries = tuple_kernels(m, n), layer.items()
         else:
-            nums = dict(zip(view, nums))
-            rows = ((tau, (representative_tuple(tau), view[tau]), nums[tau]) for tau in sorted(view))
-        layer_resid, bad = {}, []
-        for tau, (i, a), A in rows:
-            if A == target[tau]:
-                layer_resid.setdefault(tau, _ZERO)
-                continue
+            keys, entries = view, zip(map(representative_tuple, view), view.values())
+        layer_resid, bad, predicted = dict.fromkeys(sums, _ZERO), [], {}
+        for tau, (i, a) in itertools.compress(zip(keys, entries), map(ne, nums, map(target.__getitem__, keys))):
+            if tau not in predicted:  # a class's first failing entry gives its residual
+                predicted[tau] = Fraction(sums[tau], D * L)
+                layer_resid[tau] = a - predicted[tau]
             p = predicted[tau]
-            if not layer_resid.get(tau):
-                layer_resid[tau] = a - p
             if tolerance is None or abs(a - p) > tolerance * max(1, abs(p)):
                 if len(bad) < MAX_WITNESSES:  # the first 100 failing classes hold the first 100 words
                     bad.append((tau, i, a))

@@ -56,12 +56,6 @@ class Partition(tuple):
             out[lab].append(pos)
         return [tuple(b) for b in out]
 
-    def block_sizes(self):
-        sizes = [0] * self.num_blocks
-        for lab in self:
-            sizes[lab] += 1
-        return sizes
-
     __str__ = render_index_tuple
 
     def __repr__(self):

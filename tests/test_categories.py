@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -26,7 +27,7 @@ ALL_CATS = (O_PLUS, S_PLUS, H_PLUS, B_PLUS)
 def brute_member(cat, p):
     if not is_noncrossing(p):
         return False
-    sizes = p.block_sizes()
+    sizes = collections.Counter(p).values()
     if cat is O_PLUS:
         return all(s == 2 for s in sizes)
     if cat is H_PLUS:

@@ -28,8 +28,9 @@ from freedf.cumulants import (
     table_from_json,
     tuple_kernels,
 )
-from freedf.categories import S_PLUS
-from freedf.definetti import generate_invariant_model, semicircular_model
+from freedf.categories import O_PLUS, S_PLUS
+from freedf.cli import family_json, parse_family
+from freedf.definetti import check_invariance, generate_invariant_model, seed_coefficients, semicircular_model
 from freedf.errors import (
     BadRational,
     IncompleteTable,
@@ -127,7 +128,7 @@ def test_dense_guard():
 def test_kernel_table_and_views():
     sc = semicircular_model(3, 4)
     assert sc.repr == KERNEL
-    assert sc.kernel_value(2, one_block(2)) == 1
+    assert sc.value(representative_tuple(one_block(2))) == 1
     assert sc.value((1, 1)) == 1
     dense = sc.to_dense()
     assert dense.repr == DENSE
@@ -340,6 +341,47 @@ def test_table_from_json_accepts_plain_numbers():
     }
     t = table_from_json(doc)
     assert t.value((1, 1)) == Fraction(1, 2)
+
+
+def test_stray_order_refused():
+    doc = semicircular_model(2, 3).to_json()
+    doc["max_order"] = 2  # order 3 is now a stray order
+    with pytest.raises(SchemaError, match="values carries an unexpected order '3'"):
+        table_from_json(doc)
+    for junk in ("0", "x"):
+        doc = semicircular_model(2, 2).to_json()
+        doc["values"][junk] = {}
+        with pytest.raises(SchemaError, match="unexpected order %r" % junk):
+            table_from_json(doc)
+    doc = family_json(S_PLUS, "c", seed_coefficients(S_PLUS, 3, 3, seed=20))
+    doc["max_order"] = 2
+    with pytest.raises(SchemaError, match="values carries an unexpected order '3'"):
+        parse_family(doc, {"c"})
+    doc["max_order"] = 3
+    assert parse_family(doc, {"c"})[1] == 3
+
+
+def test_kernel_layers_held_in_class_order():
+    """A kernel document read with its keys shuffled at every order gives
+    the same layers, JSON bytes and check report as the canonical one."""
+    n, M = 4, 5
+    canon = table_from_json(generate_invariant_model(S_PLUS, n, M, seed=20).to_json())
+    doc = canon.to_json()
+    rng = random.Random(20)
+    for m in range(1, M + 1):
+        items = list(doc["values"][str(m)].items())
+        rng.shuffle(items)
+        doc["values"][str(m)] = dict(items)
+    t = table_from_json(doc)
+    for m in range(1, M + 1):
+        assert list(t.values[m]) == kernel_classes(m, n)
+    assert json.dumps(t.to_json()) == json.dumps(canon.to_json())
+    for tolerance in (None, Fraction(1, 10 ** 9)):
+        got, want = (check_invariance(x, O_PLUS, tolerance=tolerance) for x in (t, canon))
+        assert want.verdict == "FAIL" and want.witnesses
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        assert got.residuals == want.residuals
+        assert [list(r) for r in got.residuals.values()] == [list(r) for r in want.residuals.values()]
 
 
 @settings(deadline=None, max_examples=40)
@@ -737,7 +779,7 @@ def test_value_refuses_indices_outside_the_range():
         with pytest.raises(SchemaError):
             phi_pi(t, singletons(2), (1, 0))
         with pytest.raises(SchemaError):
-            t.kernel_value(4, singletons(4))  # four blocks over n = 3
+            t.value(representative_tuple(singletons(4)))  # four blocks over n = 3
         with pytest.raises(OrderExceeded):
             t.value((9,) * 5)
         assert t.value((3, 3)) == 1 and t.value((1, 2, 2, 1)) == 1
