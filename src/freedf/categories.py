@@ -9,8 +9,9 @@ restriction to a block, so one recursion on the block of position 0
 builds C(m) for all four; filtering P(m) is its oracle in the tests.
 
 Every sigma <= tau sum between C(m) and the kernel classes reads one
-incidence index per (cat, m, n), and c_leq_kernel builds C(m) below one
-partition block by block; leq scans are their oracle in the tests.
+incidence index per (cat, m, n), built from the kernel classes over
+sigma's blocks, which builds no P(m); c_leq_kernel builds C(m) below one
+partition block by block. leq scans are their oracle in the tests.
 """
 
 import enum
@@ -19,7 +20,7 @@ from collections import Counter
 from functools import cache
 
 from .errors import OrderTooLarge, UnknownCategory
-from .partitions import Partition, canonicalize, enumerate_partitions, is_noncrossing, kernel, num_blocks
+from .partitions import Partition, canonicalize, is_noncrossing, kernel, kernel_classes, num_blocks
 
 
 class CategoryId(enum.Enum):
@@ -42,9 +43,9 @@ B_PLUS = CategoryId.B_PLUS
 _DEFERRED_TAGS = ("s'+", "b'+", "b#+", "b#")
 
 # Order caps. C(m) is small at either one (16,796 partitions of s+ at
-# m = 10); they bound the P(k) that incidence enumerates for the k blocks
-# of each sigma, and kernel_classes for k = m (Bell(12) = 4,213,597). A
-# pairing of order m has m/2 blocks, so o+ may go deeper.
+# m = 10); they bound the k blocks of each sigma, for which incidence reads
+# kernel_classes(k, n), which refuses k > 10 (Bell(10) = 115,975 classes
+# when n >= 10). A pairing of order m has m/2 blocks, so o+ may go deeper.
 PAIRING_CAP = 12
 GENERAL_CAP = 10
 
@@ -134,12 +135,9 @@ def incidence(cat, m, n):
     At m = 0 the empty partition lies below itself.
     """
     got = {}
-    rhos = {}
     for a, sigma in enumerate(enumerate_category(cat, m)):
         k = num_blocks(sigma)
-        if k not in rhos:
-            rhos[k] = [rho for rho in enumerate_partitions(k) if num_blocks(rho) <= n] if k else [()]
-        for rho in rhos[k]:
+        for rho in kernel_classes(k, n) if k else [()]:
             got.setdefault(tuple(map(rho.__getitem__, sigma)), []).append(a)
     return got
 

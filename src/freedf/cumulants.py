@@ -44,8 +44,8 @@ from .errors import (
 from .partitions import (
     Partition,
     check_indices,
-    enumerate_partitions,
     kernel,
+    kernel_classes,
     num_blocks,
     parse_index_tuple,
     parse_partition,
@@ -65,11 +65,6 @@ def _check_dense_size(n, max_order):
         raise TableTooLarge(
             "dense table would need n^M = %d^%d entries; use the kernel representation" % (n, max_order)
         )
-
-
-def kernel_classes(m, n):
-    """All kernel partitions of order m reachable over [n]."""
-    return [t for t in enumerate_partitions(m) if num_blocks(t) <= n]
 
 
 @cache
@@ -170,19 +165,19 @@ class Table:
     def __init__(self, n, max_order, values, repr=DENSE):
         if repr not in (DENSE, KERNEL):
             raise SchemaError("repr must be 'dense' or 'kernel', got %r" % repr)
+        self.n = parse_count({"n": n}, "n", 1)
         if repr == DENSE:
             _check_dense_size(n, max_order)
-        self.n = n
         self.max_order = max_order
         self.repr = repr
         self.values = {}
         for m in range(1, max_order + 1):
             layer = values.get(m, {})
-            want = n ** m if repr == DENSE else len(kernel_classes(m, n))
+            classes = kernel_classes(m, n) if repr == KERNEL else None
+            want = n ** m if repr == DENSE else len(classes)
             if len(layer) != want:
                 raise IncompleteTable("order %d has %d entries, expected %d" % (m, len(layer), want))
             if repr == KERNEL:  # as many keys as classes, none stray, are all of them
-                classes = kernel_classes(m, n)
                 stray = list(itertools.filterfalse(set(classes).__contains__, layer))
                 if not stray:
                     layer = {tau: layer[tau] for tau in classes}

@@ -54,7 +54,7 @@ from .errors import (
     OrderExceedsN,
     TableTooLarge,
 )
-from .partitions import Partition, num_blocks, relabel, render_index_tuple
+from .partitions import Partition, check_indices, num_blocks, relabel, render_index_tuple
 from .rationals import format_rational
 from .weingarten import weingarten
 
@@ -489,7 +489,7 @@ def reconstruct_infinite(phi_tilde, cat, i):
     The moment is the sum of c_pi over C_<=(i): phi~(ker i) when ker i is
     in C(m), else a forward substitution on that down-set alone.
     """
-    i = tuple(i)
+    i = check_indices(tuple(i))
     m = len(i)
     if m == 0:
         return Fraction(1)

@@ -9,6 +9,10 @@ package) and directly usable as dict keys.
 Positions are 0-based in code. All external text is 1-based for
 elements of [m] ("{{1,2},{3}}") and for index-tuple entries ("1,3,1,2");
 RGS strings ("0,0,1") are the canonical interchange form.
+
+One cached generator builds the partitions of [m] with at most n blocks,
+the kernel classes of the words over [n], without ever opening block
+n + 1; P(m) is its n = m case.
 """
 
 from functools import cache
@@ -111,8 +115,10 @@ def parse_index_tuple(text, n=None):
 
 
 def check_indices(entries, n=None):
-    """entries, or SchemaError at the first one outside [1, n]."""
+    """entries, or SchemaError at the first one that is not an int in [1, n]."""
     for v in entries:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise SchemaError("index entry is not an integer: %r" % (v,))
         if v < 1 or (n is not None and v > n):
             raise SchemaError("index entry out of range [1,%s]: %d" % ("inf" if n is None else n, v))
     return entries
@@ -224,23 +230,23 @@ def restrict(p, positions):
 
 def enumerate_partitions(m):
     """All of P(m) in RGS-lex order (this order is used everywhere)."""
+    return kernel_classes(m, m)
+
+
+def kernel_classes(m, n):
+    """The partitions of [m] with at most n blocks, the kernels of the words
+    over [n], in RGS-lex order, as a fresh list."""
     if m < 1 or m > DEFAULT_CAP:
         raise OrderTooLarge("m=%d outside 1..%d" % (m, DEFAULT_CAP))
-    return list(_partitions(m))
+    return list(_partitions(m, min(m, n))) if n > 0 else []
 
 
 @cache
-def _partitions(m):
-    out = []
-    labels = [0] * m
-
-    def rec(pos, top):
-        if pos == m:
-            out.append(Partition(labels))
-            return
-        for lab in range(top + 2):
-            labels[pos] = lab
-            rec(pos + 1, top if lab <= top else lab)
-
-    rec(1, 0)
-    return tuple(out)
+def _partitions(m, n):
+    """P(m) capped at 1 <= n <= m blocks: each class of order m - 1 followed
+    by every label that opens no block past n. The classes of order m - 1
+    come in RGS-lex order, so their extensions do too."""
+    if m == 1:
+        return (Partition((0,)),)
+    below = _partitions(m - 1, min(m - 1, n))
+    return tuple(Partition(p + (lab,)) for p in below for lab in range(min(num_blocks(p) + 1, n)))

@@ -12,7 +12,7 @@ import pytest
 from freedf.categories import O_PLUS, PAIRING_CAP, S_PLUS, enumerate_category, incidence
 from freedf.cumulants import first_block_shapes, tuple_kernels
 from freedf.errors import OrderTooLarge, SingularGram
-from freedf.partitions import DEFAULT_CAP, enumerate_partitions
+from freedf.partitions import DEFAULT_CAP, enumerate_partitions, kernel_classes
 from freedf.posets import category_poset, mobius_to_top_nc
 from freedf.weingarten import weingarten
 
@@ -21,11 +21,12 @@ from freedf.weingarten import weingarten
     "enum",
     [
         lambda: enumerate_partitions(4),
+        lambda: kernel_classes(4, 2),
         lambda: enumerate_category(S_PLUS, 4),
         lambda: enumerate_category(O_PLUS, 4),
         lambda: enumerate_category(S_PLUS, 0),
     ],
-    ids=["P(4)", "s+ C(4)", "o+ C(4)", "C(0)"],
+    ids=["P(4)", "kernel classes (4, 2)", "s+ C(4)", "o+ C(4)", "C(0)"],
 )
 def test_enumerations_return_a_fresh_list(enum):
     first = enum()
@@ -51,7 +52,12 @@ def test_built_objects_are_shared(build):
 
 
 def test_order_too_large_is_raised_again():
-    for enum in (lambda: enumerate_partitions(DEFAULT_CAP + 1), lambda: enumerate_category(O_PLUS, PAIRING_CAP + 2)):
+    for enum in (
+        lambda: enumerate_partitions(DEFAULT_CAP + 1),
+        lambda: kernel_classes(0, 3),
+        lambda: kernel_classes(DEFAULT_CAP + 1, 3),
+        lambda: enumerate_category(O_PLUS, PAIRING_CAP + 2),
+    ):
         for _ in range(2):
             with pytest.raises(OrderTooLarge):
                 enum()

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from freedf import categories
+from freedf import categories, partitions
 from freedf.categories import (
     B_PLUS,
     GENERAL_CAP,
@@ -119,10 +119,10 @@ def test_enumerate_is_filter_of_p_m_up_to_the_caps():
 
 
 def test_enumerate_builds_no_p_m(monkeypatch):
-    def refuse(m, **kwargs):
+    def refuse(m, *args, **kwargs):
         raise AssertionError("P(%d) built" % m)
 
-    monkeypatch.setattr(categories, "enumerate_partitions", refuse)
+    monkeypatch.setattr(partitions, "_partitions", refuse)
     categories._category.cache_clear()
     try:
         assert len(enumerate_category(O_PLUS, PAIRING_CAP)) == 132

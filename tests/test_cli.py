@@ -125,6 +125,16 @@ def test_check_rational_rejects_tolerance(tmp_path):
     assert json.loads(result.stderr)["error"] == "schema-error"
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_semicircular_refuses_n_below_one(n):
+    # it wrote a table with no classes, which transform and check then refused
+    result = run(["semicircular", "--n", n, "--max-order", "2"])
+    assert result.exit_code == 2 and result.stdout == ""
+    err = json.loads(result.stderr)
+    assert err["error"] == "schema-error"
+    assert err["message"] == "field 'n' must be a positive integer, got %s" % n
+
+
 def test_missing_file_exits_2():
     result = run(["check", "--category", "o+", "--input", "nosuch.json"])
     assert result.exit_code == 2

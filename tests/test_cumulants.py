@@ -28,9 +28,15 @@ from freedf.cumulants import (
     table_from_json,
     tuple_kernels,
 )
-from freedf.categories import O_PLUS, S_PLUS
+from freedf.categories import O_PLUS, S_PLUS, enumerate_category
 from freedf.cli import family_json, parse_family
-from freedf.definetti import check_invariance, generate_invariant_model, seed_coefficients, semicircular_model
+from freedf.definetti import (
+    check_invariance,
+    generate_invariant_model,
+    reconstruct_infinite,
+    seed_coefficients,
+    semicircular_model,
+)
 from freedf.errors import (
     BadRational,
     IncompleteTable,
@@ -51,6 +57,7 @@ from freedf.partitions import (
     singletons,
 )
 from freedf.rationals import parse_rational
+from freedf.weingarten import haar_moment
 
 rationals = importlib.import_module("freedf.rationals")
 
@@ -91,6 +98,17 @@ def test_table_construction_and_value():
     assert t.value((1, 2)) == t.values[2][(1, 2)]
     with pytest.raises(OrderExceeded):
         t.value((1, 1, 1, 1))
+
+
+def test_table_refuses_n_below_one():
+    # semicircular_model(0, 2) was a table of empty layers, which
+    # table_from_json then refused
+    for n in (0, -1):
+        for rep in (DENSE, KERNEL):
+            with pytest.raises(SchemaError, match="field 'n' must be a positive integer, got %d" % n):
+                MomentTable(n, 2, {}, repr=rep)
+        with pytest.raises(SchemaError, match="field 'n' must be a positive integer"):
+            semicircular_model(n, 2)
 
 
 def test_table_completeness_enforced():
@@ -783,6 +801,31 @@ def test_value_refuses_indices_outside_the_range():
         with pytest.raises(OrderExceeded):
             t.value((9,) * 5)
         assert t.value((3, 3)) == 1 and t.value((1, 2, 2, 1)) == 1
+
+
+def test_index_entries_must_be_integers():
+    # a kernel table read (1.5, 1) as the class 0,1 and haar_moment and
+    # reconstruct_infinite answered; the dense copy raised a bare KeyError,
+    # and ("1", 1) a bare TypeError
+    sc = semicircular_model(2, 2)
+    phi = {m: {p: sc.kernel_view(m)[p] for p in enumerate_category(O_PLUS, m)} for m in (1, 2)}
+    bad = ((1.5, 1), ("1", 1), (True, 1), (1, None))
+    for i in bad:
+        for t in (sc, sc.to_dense()):
+            with pytest.raises(SchemaError, match="not an integer"):
+                t.value(i)
+            with pytest.raises(SchemaError, match="not an integer"):
+                kappa_pi(t, singletons(2), i)
+        with pytest.raises(SchemaError, match="not an integer"):
+            haar_moment(S_PLUS, 3, i, (1, 2))
+        with pytest.raises(SchemaError, match="not an integer"):
+            haar_moment(S_PLUS, 3, (1, 2), i)
+        with pytest.raises(SchemaError, match="not an integer"):
+            reconstruct_infinite(phi, O_PLUS, i)
+    for i in ((0, 1), (-2, 5)):
+        with pytest.raises(SchemaError, match="out of range"):
+            reconstruct_infinite(phi, O_PLUS, i)
+    assert reconstruct_infinite(phi, O_PLUS, (7, 7)) == 1
 
 
 # ---- kernel classes of dense tables ---------------------------------------------

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freedf import partitions
 from freedf.errors import BadSubset, EmptyInput, OrderTooLarge, SchemaError, SizeMismatch
 from freedf.partitions import (
     Partition,
@@ -14,6 +15,7 @@ from freedf.partitions import (
     join,
     join_num_blocks,
     kernel,
+    kernel_classes,
     leq,
     num_blocks,
     one_block,
@@ -167,6 +169,35 @@ def test_enumerate_cap():
         enumerate_partitions(11)
     with pytest.raises(OrderTooLarge):
         enumerate_partitions(0)
+
+
+def test_kernel_classes_are_p_m_filtered_by_block_count():
+    orders = [(m, n) for m in range(1, 9) for n in range(0, m + 2)]
+    orders += [(m, n) for m in (9, 10) for n in range(0, 4)]
+    for m, n in orders:
+        assert kernel_classes(m, n) == [t for t in enumerate_partitions(m) if num_blocks(t) <= n], (m, n)
+    for m in range(1, 9):
+        for n in (m, m + 1):
+            assert all(a is b for a, b in zip(kernel_classes(m, n), enumerate_partitions(m), strict=True))
+    assert kernel_classes(3, -1) == []
+
+
+def test_kernel_classes_build_no_p_m(monkeypatch):
+    # a filter of P(10) would build 115,975 partitions to keep 9,842
+    built = []
+    new = Partition.__new__
+
+    def counted(cls, labels=()):
+        built.append(None)
+        return new(cls, labels)
+
+    partitions._partitions.cache_clear()
+    monkeypatch.setattr(Partition, "__new__", staticmethod(counted))
+    try:
+        assert len(kernel_classes(10, 3)) == 9842
+        assert len(built) <= sum(len(kernel_classes(k, 3)) for k in range(1, 11))
+    finally:
+        partitions._partitions.cache_clear()
 
 
 def test_index_tuple_parsing():
