@@ -112,7 +112,7 @@ def parse_family(doc, kinds):
     cat = parse_category(doc["category"])
     M = parse_count(doc, "max_order", 1)
     values = parse_layers(doc["values"], M, parse_rgs_key, lambda m: enumerate_category(cat, m))
-    return cat, M, values
+    return cat, M, {m: dict(zip(enumerate_category(cat, m), vals)) for m, vals in values.items()}
 
 
 def family_json(cat, kind, slices):

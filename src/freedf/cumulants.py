@@ -21,9 +21,10 @@ keyed by words, a word's position found by Horner's rule. A dense layer
 depends on words only through their kernels iff it is S_n-invariant,
 which Table.kernel_layer tests by position; a table whose every layer
 passes is transformed on its kernel classes, any other by position, a
-cut word found by its rank. A layer whose texts are the ones to_json
-writes, in order, is read in one pass into a list; in any other a key is
-parsed only when its text differs from the expected one at its position.
+cut word found by its rank. The reader hands Table every layer as the
+list of its values in the order to_json writes the keys: a layer of
+exactly those texts, in order, is read in one pass; in any other a key
+is parsed only when its text differs from the expected one at its place.
 """
 
 import itertools
@@ -157,8 +158,8 @@ class _Items(ItemsView):
 class Table:
     """Per order, a DenseLayer (repr dense) or a dict keyed by kernel
     classes, each held in the order to_json writes it (kernel_classes
-    order for a kernel layer). A dense order is given as the list of its
-    values in product order, which the table keeps, or as a mapping."""
+    order for a kernel layer). An order is given as the list of its
+    values in that order, which the table keeps, or as a mapping."""
 
     kind = None
 
@@ -166,9 +167,9 @@ class Table:
         if repr not in (DENSE, KERNEL):
             raise SchemaError("repr must be 'dense' or 'kernel', got %r" % repr)
         self.n = parse_count({"n": n}, "n", 1)
+        self.max_order = parse_count({"max_order": max_order}, "max_order", 0)
         if repr == DENSE:
             _check_dense_size(n, max_order)
-        self.max_order = max_order
         self.repr = repr
         self.values = {}
         for m in range(1, max_order + 1):
@@ -177,19 +178,14 @@ class Table:
             want = n ** m if repr == DENSE else len(classes)
             if len(layer) != want:
                 raise IncompleteTable("order %d has %d entries, expected %d" % (m, len(layer), want))
-            if repr == KERNEL:  # as many keys as classes, none stray, are all of them
-                stray = list(itertools.filterfalse(set(classes).__contains__, layer))
-                if not stray:
-                    layer = {tau: layer[tau] for tau in classes}
-            elif isinstance(layer, list):
-                layer, stray = DenseLayer(n, m, layer), ()
-            else:  # n^m distinct words of [n]^m are all of them
-                layer, given = DenseLayer(n, m, [None] * want), layer
+            if isinstance(layer, list):
+                layer = DenseLayer(n, m, layer) if repr == DENSE else dict(zip(classes, layer))
+            else:  # as many distinct keys as expected, none stray, are all of them
+                given, layer = layer, DenseLayer(n, m, [None] * want) if repr == DENSE else dict.fromkeys(classes)
                 stray = [key for key in given if key not in layer]
-                if not stray:
-                    layer.update(given)
-            if stray:
-                raise SchemaError("order %d carries an unexpected key %r" % (m, stray[0]))
+                if stray:
+                    raise SchemaError("order %d carries an unexpected key %r" % (m, stray[0]))
+                layer.update(given)
             self.values[m] = layer
 
     def value(self, i):
@@ -237,7 +233,7 @@ class Table:
     def to_kernel(self):
         if self.repr == KERNEL:
             return self
-        vals = {m: self.kernel_view(m) for m in range(1, self.max_order + 1)}
+        vals = {m: list(self.kernel_view(m).values()) for m in range(1, self.max_order + 1)}
         return type(self)(self.n, self.max_order, vals, repr=KERNEL)
 
     def to_dense(self):
@@ -300,16 +296,16 @@ _NO_TEXT = object()  # a text no key equals
 _PAST_END = itertools.repeat((None, _NO_TEXT))
 
 
-def parse_layers(raw, max_order, parse_key, expected, texts=None, as_list=False):
-    """{m: {key: Fraction}} for m = 1..max_order from {"m": {text: value}}.
+def parse_layers(raw, max_order, parse_key, expected, texts=None):
+    """{m: [Fraction, ...]} for m = 1..max_order from {"m": {text: value}}.
 
     raw must carry exactly the orders "1".."max_order". expected(m) yields
     the keys of order m in the order to_json writes them, and texts(m)
     their texts (str of each key by default); order m must carry exactly
-    these keys, each given once. A layer of exactly these texts is built
-    in one pass, as the list of its values if as_list; elsewhere a text
-    differing from the expected one at its position is read by
-    parse_key(text, m), and the layer is a dict.
+    these keys, each given once, and is returned as its values in that
+    order. A layer of exactly these texts is read in one pass; elsewhere
+    a text differing from the expected one at its position is read by
+    parse_key(text, m), into a dict that is checked, then listed.
     """
     texts = texts or (lambda m: map(str, expected(m)))
     if not isinstance(raw, dict):
@@ -323,27 +319,27 @@ def parse_layers(raw, max_order, parse_key, expected, texts=None, as_list=False)
             raise SchemaError("values for order %d must be an object keyed by entry" % m)
         # zip_longest pads the shorter side, so a missing or extra key fails too
         if all(itertools.starmap(eq, itertools.zip_longest(layer_doc, texts(m), fillvalue=_NO_TEXT))):
-            vals = read_rationals(layer_doc.values())
-            out[m] = list(vals) if as_list else dict(zip(expected(m), vals))
+            out[m] = list(read_rationals(layer_doc.values()))
             continue
+        keys = list(expected(m))
         layer, read = {}, rational_reader()
-        want = zip(expected(m), texts(m))
+        want = zip(keys, texts(m))
         for (text, val), (key, canon) in zip(layer_doc.items(), itertools.chain(want, _PAST_END)):
             if text != canon:
                 key = parse_key(text, m)
             if key in layer:
                 raise SchemaError("order %d repeats the key %s as %r" % (m, render_index_tuple(key), text))
             layer[key] = read(val)
-        out[m] = layer
-        missing = [key for key in expected(m) if key not in layer]
+        missing = [key for key in keys if key not in layer]
         if missing:
             shown = [render_index_tuple(k) for k in missing[:8]]
             raise IncompleteTable(
                 "order %d is missing %d entries, e.g. %s" % (m, len(missing), ", ".join(shown)), missing=shown
             )
-        stray = set(layer).difference(expected(m))
+        stray = set(layer).difference(keys)
         if stray:
             raise SchemaError("order %d carries an unexpected key %r" % (m, render_index_tuple(min(stray))))
+        out[m] = list(map(layer.__getitem__, keys))
     stray = [text for text in raw if text not in map(str, range(1, max_order + 1))]
     if stray:
         raise SchemaError("values carries an unexpected order %r" % (stray[0],))
@@ -375,7 +371,7 @@ def table_from_json(doc):
                 raise SchemaError("tuple %r under order %d has length %d" % (text, m, len(key)))
             return key
 
-        values = parse_layers(doc["values"], max_order, tuple_key, partial(_words, n), partial(product_texts, n), True)
+        values = parse_layers(doc["values"], max_order, tuple_key, partial(_words, n), partial(product_texts, n))
     cls = MomentTable if kind == "moments" else CumulantTable
     return cls(n, max_order, values, repr=rep)
 
@@ -498,7 +494,8 @@ def _transform(table, to_moments):
     if dense:
         views = list(itertools.takewhile(lambda view: view is not None, map(table.kernel_layer, range(1, M + 1))))
         if len(views) == M:
-            kernel = _transform(Table(n, M, dict(enumerate(views, 1)), repr=KERNEL), to_moments)
+            layers = {m: list(view.values()) for m, view in enumerate(views, 1)}
+            kernel = _transform(Table(n, M, layers, repr=KERNEL), to_moments)
             return {m: list(map(layer.__getitem__, tuple_kernels(m, n))) for m, layer in kernel.items()}
     src, dst = ({}, {}) if dense else (_Words(), _Words())
     den_src, den_dst = {}, {}

@@ -453,7 +453,7 @@ def generate_invariant_model(cat, n, M, seed):
     layers = {}
     for m, sl in seed_coefficients(cat, n, M, seed).items():
         L, nums = to_integers(sl.values())
-        layers[m] = {tau: Fraction(v, L) for tau, v in _incident_sums(nums, cat, m, n).items()}
+        layers[m] = [Fraction(v, L) for v in _incident_sums(nums, cat, m, n).values()]
     ct = CumulantTable(n, M, layers, repr=KERNEL)
     return moments_from_cumulants(ct)
 
@@ -463,7 +463,7 @@ def semicircular_model(n, M):
     layers = {}
     for m in range(1, M + 1):
         below = incidence(O_PLUS, m, n)
-        layers[m] = {tau: Fraction(len(below.get(tau, ()))) for tau in kernel_classes(m, n)}
+        layers[m] = [Fraction(len(below.get(tau, ()))) for tau in kernel_classes(m, n)]
     return MomentTable(n, M, layers, repr=KERNEL)
 
 
@@ -601,7 +601,7 @@ def asymptotic_freeness_probe(models, cat, m, tolerance=Fraction(1, 10 ** 9)):
         report = check_invariance(mt, cat, up_to=m)
         if not report.passed:
             raise NotInvariant("table at n=%d is not %s-invariant" % (mt.n, cat))
-        moments = MomentTable(mt.n, m, {k: mt.kernel_view(k) for k in range(1, m + 1)}, repr=KERNEL)
+        moments = MomentTable(mt.n, m, {k: list(mt.kernel_view(k).values()) for k in range(1, m + 1)}, repr=KERNEL)
         tables["moment"].append(moments)
         tables["cumulant"].append(cumulants_from_moments(moments))
     entries = []

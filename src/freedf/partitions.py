@@ -95,8 +95,6 @@ def parse_partition(text):
 
 def format_blocks(p):
     """Human notation with 1-based elements, e.g. {{1,2},{3}}."""
-    if not p:
-        return "{}"
     parts = ["{%s}" % ",".join(str(pos + 1) for pos in b) for b in Partition(p).blocks()]
     return "{%s}" % ",".join(parts)
 

@@ -135,6 +135,18 @@ def test_semicircular_refuses_n_below_one(n):
     assert err["message"] == "field 'n' must be a positive integer, got %s" % n
 
 
+@pytest.mark.parametrize(
+    "args", [["semicircular", "--n", "2"], ["generate", "--category", "o+", "--n", "2", "--seed", "1"]]
+)
+def test_models_refuse_a_negative_max_order(args):
+    # semicircular wrote {"max_order": -1, "values": {}}, which check then refused
+    result = run(args + ["--max-order", "-1"])
+    assert result.exit_code == 2 and result.stdout == ""
+    err = json.loads(result.stderr)
+    assert err["error"] == "schema-error"
+    assert err["message"] == "field 'max_order' must be a non-negative integer, got -1"
+
+
 def test_missing_file_exits_2():
     result = run(["check", "--category", "o+", "--input", "nosuch.json"])
     assert result.exit_code == 2
@@ -432,6 +444,8 @@ def _edited(doc, order=None, **fields):
         (_TRANSFORM, _edited(_KERNEL, (1, ["1/1"]))),
         (_RECONSTRUCT, _edited(_PHI, (2, ["1/1", "1/1", "1/1"]))),
         (_RECONSTRUCT, _edited(_PHI, values=[{"0": "1/1"}])),
+        (_CONVERT, [_edited(_PHI, kind="c")]),
+        (_CONVERT, {k: v for k, v in _edited(_PHI, kind="c").items() if k != "values"}),
         (_CHECK, _edited(_KERNEL, n=True)),
         (_CHECK, _edited(_KERNEL, max_order=True)),
         (_RECONSTRUCT[:4] + ["1", "--input"], _edited(_PHI, max_order=True)),
@@ -446,6 +460,8 @@ def _edited(doc, order=None, **fields):
         "kernel-layer-list",
         "family-layer-list",
         "family-values-list",
+        "family-not-an-object",
+        "family-missing-values",
         "table-bool-n",
         "table-bool-max-order",
         "family-bool-max-order",

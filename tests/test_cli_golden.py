@@ -19,6 +19,7 @@ from freedf.categories import O_PLUS, S_PLUS, enumerate_category
 from freedf.cli import family_json, main
 from freedf.cumulants import cumulants_from_moments
 from freedf.definetti import generate_invariant_model, seed_coefficients, semicircular_model
+from freedf.partitions import one_block
 
 
 def _write_inputs(d):
@@ -27,6 +28,9 @@ def _write_inputs(d):
 
     dump("model.json", generate_invariant_model(S_PLUS, 4, 4, 3).to_json())
     dump("small.json", generate_invariant_model(O_PLUS, 2, 4, 3).to_json())
+    inconsistent = generate_invariant_model(O_PLUS, 2, 4, 7)
+    inconsistent.values[4][one_block(4)] += 1
+    dump("inconsistent.json", inconsistent.to_json())
     dump("cum.json", cumulants_from_moments(generate_invariant_model(S_PLUS, 4, 4, 3)).to_json())
     sc = semicircular_model(3, 4).to_dense()
     dump("dense.json", sc.to_json())
@@ -35,7 +39,7 @@ def _write_inputs(d):
     near = semicircular_model(3, 2).to_dense()
     near.values[2][(1, 1)] += Fraction(1, 10 ** 15)
     dump("near.json", near.to_json())
-    for n in (4, 6, 8):
+    for n in (2, 4, 6, 8):
         dump("sc%d.json" % n, semicircular_model(n, 4).to_json())
     dump("C.json", family_json(S_PLUS, "C", seed_coefficients(S_PLUS, 4, 4, 11)))
     dump("c.json", family_json(S_PLUS, "c", seed_coefficients(S_PLUS, 4, 4, 12)))
@@ -90,6 +94,10 @@ CASES = [
      "3ee43f8d1bf00a49e66dbe41bb2d8a28b0d17ac03b96ea6ad3e191f537e12de5"),
     ("solve-c-fallback", "solve --category o+ --which c --m 4 --input {d}/small.json", 0,
      "eabfa2987f26b3635e60548d515ed4f1348a707e63bf411a73a929c479fb8b07"),
+    ("solve-c-not-unique", "solve --category s+ --which c --m 4 --input {d}/sc2.json", 0,
+     "a81438e6dd28d180a4aaab4d15003a4a3dfc1499e46037d6c4ba2dbef10bda97"),
+    ("solve-c-inconsistent", "solve --category o+ --which c --m 4 --input {d}/inconsistent.json", 2,
+     "df1ee426c99afb6eaa396eb153a4a762a6ef531aa8b565d6e14710bdb7107473"),
     ("convert-C-to-c", "convert --direction C-to-c --input {d}/C.json", 0,
      "99d6daef09574e14d536425eebdd9c62592d0b9e75a0fe4439dbff0724bc7db7"),
     ("convert-c-to-C", "convert --direction c-to-C --input {d}/c.json", 0,

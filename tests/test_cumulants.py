@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import random
+import re
 from math import lcm, prod
 
 import pytest
@@ -16,11 +17,13 @@ from freedf.cumulants import (
     MomentTable,
     Table,
     _transform,
+    _Words,
     cumulants_from_moments,
     first_block_shapes,
     kappa_pi,
     kernel_classes,
     moments_from_cumulants,
+    parse_layers,
     parse_rgs_key,
     phi_pi,
     representative_tuple,
@@ -56,6 +59,7 @@ from freedf.partitions import (
     render_index_tuple,
     singletons,
 )
+from freedf import cumulants as cumulants_module
 from freedf.rationals import parse_rational
 from freedf.weingarten import haar_moment
 
@@ -111,6 +115,39 @@ def test_table_refuses_n_below_one():
             semicircular_model(n, 2)
 
 
+@pytest.mark.parametrize("max_order", [-1, True, False, 1.5, "2", None])
+def test_table_refuses_a_max_order_the_reader_refuses(max_order):
+    # Table() took max_order -1 and True, which table_from_json then refused,
+    # and 1.5 raised a bare TypeError
+    message = "field 'max_order' must be a non-negative integer, got %r" % (max_order,)
+    for rep in (DENSE, KERNEL):
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            MomentTable(2, max_order, {}, repr=rep)
+    doc = {"n": 2, "max_order": max_order, "kind": "moments", "repr": KERNEL, "values": {}}
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        table_from_json(doc)
+    if max_order == -1:
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            semicircular_model(2, max_order)
+    assert MomentTable(2, 0, {}).to_json()["max_order"] == 0
+
+
+def test_table_takes_either_layer_as_a_list_in_write_order():
+    # a list is a layer's values in the order to_json writes them: product
+    # order for a dense layer, kernel_classes order for a kernel layer
+    mt = generate_invariant_model(S_PLUS, 4, 4, seed=5)
+    for t in (mt, mt.to_dense()):
+        lists = {m: list(layer.values()) for m, layer in t.values.items()}
+        got = MomentTable(t.n, t.max_order, lists, repr=t.repr)
+        assert {m: list(layer.items()) for m, layer in got.values.items()} == {
+            m: list(layer.items()) for m, layer in t.values.items()
+        }
+        assert json.dumps(got.to_json()) == json.dumps(t.to_json())
+        lists[3].pop()
+        with pytest.raises(IncompleteTable, match="order 3 has %d entries" % (len(t.values[3]) - 1)):
+            MomentTable(t.n, t.max_order, lists, repr=t.repr)
+
+
 def test_table_completeness_enforced():
     with pytest.raises(IncompleteTable):
         MomentTable(2, 2, {1: {(1,): Fraction(1)}, 2: {}})
@@ -154,6 +191,7 @@ def test_kernel_table_and_views():
         assert dense.value(i) == sc.value(i)
     assert dense.kernel_view(4) == sc.kernel_view(4)
     assert dense.to_kernel().values == sc.values
+    assert sc.to_kernel() is sc and dense.to_dense() is dense
 
 
 def test_kernel_view_witnesses_nonuniform():
@@ -200,6 +238,18 @@ def test_kappa_pi_blockwise():
     i = (1, 1, 2, 2)
     assert kappa_pi(ct, parse_partition("0,0,1,1"), i) == 1
     assert kappa_pi(ct, one_block(4), i) == ct.value(i)
+    with pytest.raises(OrderExceeded, match="order 5 beyond table max_order 4"):
+        kappa_pi(ct, one_block(5), i + (1,))
+
+
+def test_restricted_words_find_their_class():
+    # a word over a stored class is found by relabelling; a canonical word
+    # that is not stored is a KeyError, not a recursion
+    words = _Words({(0,): 1, (0, 1): 2})
+    assert words[(3,)] == 1 and words[(5, 2)] == 2 and (5, 2) in words
+    for word in ((0, 0), (1, 1)):
+        with pytest.raises(KeyError):
+            words[word]
 
 
 def test_first_order_cumulant_is_moment():
@@ -321,6 +371,10 @@ def test_table_from_json_missing_entry():
     with pytest.raises(IncompleteTable) as exc:
         table_from_json(doc)
     assert "2,1" in str(exc.value)
+    del doc["values"]["2"]
+    with pytest.raises(IncompleteTable, match="values for order 2 are missing") as exc:
+        table_from_json(doc)
+    assert exc.value.missing == ["2"]
 
 
 def test_table_from_json_bad_rational():
@@ -342,6 +396,9 @@ def test_table_from_json_schema_errors():
         doc = json.loads(json.dumps(base))
         mangle(doc)
         with pytest.raises(SchemaError):
+            table_from_json(doc)
+    for doc in ([base], "table", None):
+        with pytest.raises(SchemaError, match="table document must be a JSON object"):
             table_from_json(doc)
     doc = json.loads(json.dumps(base))
     doc["values"]["1"]["3"] = "1/1"
@@ -400,6 +457,58 @@ def test_kernel_layers_held_in_class_order():
         assert json.dumps(got.to_json()) == json.dumps(want.to_json())
         assert got.residuals == want.residuals
         assert [list(r) for r in got.residuals.values()] == [list(r) for r in want.residuals.values()]
+
+
+def test_every_layer_reaches_the_table_as_a_value_list(monkeypatch):
+    """parse_layers gives each order as its values in the order to_json
+    writes the keys, read by text match or key by key, for a kernel table,
+    a dense table and a coefficient family alike."""
+    handed = []
+
+    def spy(*args):
+        out = parse_layers(*args)
+        handed.append(out)
+        return out
+
+    monkeypatch.setattr(cumulants_module, "parse_layers", spy)
+    kernel_doc = generate_invariant_model(S_PLUS, 4, 4, seed=21).to_json()
+    docs = [kernel_doc, semicircular_model(3, 3).to_dense().to_json()]
+    rng = random.Random(21)
+    for doc in list(docs):
+        doc = json.loads(json.dumps(doc))
+        for layer in doc["values"].values():
+            items = list(layer.items())
+            rng.shuffle(items)
+            layer.clear()
+            layer.update(items)
+        docs.append(doc)
+    for doc in docs:
+        t = table_from_json(doc)
+        assert all(type(vals) is list for vals in handed.pop().values())
+        for m, layer in t.values.items():
+            keys = kernel_classes(m, t.n) if t.repr == KERNEL else itertools.product(range(1, t.n + 1), repeat=m)
+            texts = map(render_index_tuple, keys)
+            assert list(layer.values()) == list(map(parse_rational, map(doc["values"][str(m)].__getitem__, texts)))
+    family = family_json(S_PLUS, "c", seed_coefficients(S_PLUS, 3, 3, seed=21))
+    raw = parse_layers(family["values"], 3, parse_rgs_key, lambda m: enumerate_category(S_PLUS, m))
+    assert raw == {int(m): list(map(parse_rational, layer.values())) for m, layer in family["values"].items()}
+    assert parse_family(family, {"c"})[2] == seed_coefficients(S_PLUS, 3, 3, seed=21)
+
+
+def test_reading_a_kernel_table_lists_its_classes_twice_per_order(monkeypatch):
+    # once for the texts the reader matches, once for the classes Table()
+    # keys the values by; three times before layers reached Table() as lists
+    doc = generate_invariant_model(S_PLUS, 6, 6, seed=1).to_json()
+    calls = []
+
+    def counted(m, n):
+        calls.append(m)
+        return kernel_classes(m, n)
+
+    monkeypatch.setattr(cumulants_module, "kernel_classes", counted)
+    t = table_from_json(doc)
+    assert sorted(calls) == sorted(list(range(1, 7)) * 2)
+    assert json.dumps(t.to_json()) == json.dumps(doc)
 
 
 @settings(deadline=None, max_examples=40)

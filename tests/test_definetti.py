@@ -225,6 +225,75 @@ def test_solve_beyond_n_fallback():
         solve_moment_coefficients(mt, O_PLUS, 4, fallback=False)
 
 
+def _pivot_columns(columns):
+    """The positions of the columns that are not in the span of the columns
+    before them: exact elimination over Q on sparse {row: value} vectors,
+    each stored vector led by its smallest row, with entry 1 there."""
+    reduced, pivots = {}, []
+    for j, column in enumerate(columns):
+        v = dict(column)
+        while v:
+            r = min(v)
+            if r not in reduced:
+                reduced[r] = {k: x / v[r] for k, x in v.items()}
+                pivots.append(j)
+                break
+            f = v[r]
+            for k, x in reduced[r].items():
+                y = v.get(k, 0) - f * x
+                if y:
+                    v[k] = y
+                else:
+                    del v[k]
+    return pivots
+
+
+def test_solve_beyond_n_is_unique_exactly_when_the_gram_matrix_is_invertible(monkeypatch):
+    """G = Z Delta Z^T with Delta = diag((n)_#tau) > 0 and Z the incidence
+    of C(m) on the kernel classes, so W exists exactly when Z has rank
+    |C(m)|, which is when phi~(tau) = sum_{sigma <= tau} c_sigma has one
+    solution. Every family returned re-sums to the table, and each
+    coefficient of a free column (one in the span of the columns before
+    it) is pinned to 0."""
+    monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)
+    verdicts = set()
+    for n in (1, 2, 3):
+        mt = semicircular_model(n, 6)
+        ct = cumulants_from_moments(mt)
+        for cat, m in itertools.product(ALL_CATS, range(n + 1, 7)):
+            basis, classes = enumerate_category(cat, m), kernel_classes(m, n)
+            try:
+                weingarten(cat, m, n)
+            except SingularGram:
+                singular = True
+            else:
+                singular = False
+            columns = [{r: Fraction(1) for r, tau in enumerate(classes) if leq(s, tau)} for s in basis]
+            pivots = _pivot_columns(columns)
+            assert (len(pivots) < len(basis)) is singular, (cat, n, m)
+            free = [basis[a] for a in range(len(basis)) if a not in pivots]
+            for t in (mt, ct):
+                sl = solve_moment_coefficients(t, cat, m)
+                assert sl.unique is not singular, (cat, n, m)
+                view = t.kernel_view(m)
+                for tau in classes:
+                    assert sum((v for s, v in sl.values.items() if leq(s, tau)), Fraction(0)) == view[tau]
+                assert all(sl.values[s] == 0 for s in free), (cat, n, m)
+            verdicts.add((singular, bool(basis)))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def test_solve_beyond_n_refuses_an_inconsistent_system():
+    mt = generate_invariant_model(O_PLUS, 2, 4, seed=7)
+    assert solve_moment_coefficients(mt, O_PLUS, 4).unique
+    for tau in kernel_classes(4, 2):
+        bad = copy.deepcopy(mt)
+        bad.values[4][tau] += 1
+        with pytest.raises(NotInvariant, match="the kernel-class system is inconsistent"):
+            solve_moment_coefficients(bad, O_PLUS, 4)
+        assert check_invariance(bad, O_PLUS).verdict == "FAIL"
+
+
 def test_solve_cumulant_side():
     mt = generate_invariant_model(S_PLUS, 5, 3, seed=17)
     ct = cumulants_from_moments(mt)
@@ -547,6 +616,13 @@ def test_probe_rejects_noninvariant():
     bad.values[2][(1, 1)] = Fraction(2)
     with pytest.raises(NotInvariant):
         asymptotic_freeness_probe([bad, semicircular_model(6, 4)], O_PLUS, 4)
+
+
+def test_probe_refuses_no_tables_and_tables_below_the_order():
+    with pytest.raises(FreedfError, match="needs at least one table"):
+        asymptotic_freeness_probe([], O_PLUS, 2)
+    with pytest.raises(FreedfError, match="table at n=6 stops at order 2, below the probed order 4"):
+        asymptotic_freeness_probe([semicircular_model(4, 4), semicircular_model(6, 2)], O_PLUS, 4)
 
 
 @pytest.mark.parametrize("cat,m", [(O_PLUS, 0), (S_PLUS, 0), (O_PLUS, -1)])

@@ -167,6 +167,7 @@ def test_dense_layer_keeps_exactly_the_words_of_its_order():
     assert DenseLayer(4, 1, [1, 2, 3, 4]) != DenseLayer(2, 2, [1, 2, 3, 4])
     assert DenseLayer(1, 1, [5]) != DenseLayer(1, 2, [5])
     assert DenseLayer(2, 2, [1, 2, 3, 4]) == dict(zip(words(2, 2), [1, 2, 3, 4])) != DenseLayer(4, 1, [1, 2, 3, 4])
+    assert repr(DenseLayer(2, 1, [5, 6])) == "DenseLayer({(1,): 5, (2,): 6})"
     assert check_invariance(t, S_PLUS).passed
 
 

@@ -41,6 +41,8 @@ def test_parse_and_blocks():
     p = parse_partition("0,0,1,0")
     assert p == (0, 0, 1, 0)
     assert format_blocks(p) == "{{1,2,4},{3}}"
+    assert format_blocks(()) == format_blocks(Partition(())) == "{}"
+    assert repr(p) == "Partition(0,0,1,0)" and repr(Partition(())) == "Partition(empty)"
     assert parse_partition("5,5,2,5") == (0, 0, 1, 0)
     q = parse_partition("0,1,2")
     assert q.num_blocks == 3

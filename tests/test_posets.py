@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from freedf.categories import B_PLUS, H_PLUS, O_PLUS, S_PLUS
 from freedf.errors import NotComparable, NotInPoset
-from freedf.partitions import enumerate_partitions, leq, num_blocks, one_block, parse_partition, singletons
+from freedf.partitions import Partition, enumerate_partitions, leq, num_blocks, one_block, parse_partition, singletons
 from freedf.posets import (
     FinitePoset,
     category_poset,
@@ -56,12 +56,15 @@ def test_mobius_to_top_full_lattice_examples():
     assert mobius_to_top_full_lattice(parse_partition("0,0,1")) == -1
     assert mobius_to_top_full_lattice(parse_partition("0,1,0,1")) == -1
     assert mobius_to_top_full_lattice(singletons(4)) == -6
+    # P(0) holds the empty partition alone, so mu is 1 there
+    assert mobius_to_top_full_lattice(Partition(())) == 1
 
 
 def test_mobius_to_top_full_lattice_is_generic_recursion():
     # the closed form (-1)^(k-1) (k-1)! against the poset recursion, small m
     for m in range(1, 6):
         poset = FinitePoset(enumerate_partitions(m))
+        assert len(poset) == len(enumerate_partitions(m))
         top = one_block(m)
         for p in poset.elements:
             assert mobius_to_top_full_lattice(p) == poset.mobius(p, top), p

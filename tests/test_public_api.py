@@ -18,6 +18,8 @@ from freedf.weingarten import GramTable, WeingartenTable, gram, weingarten
 
 
 def test_all_names_resolve():
+    # dir() lists the lazily imported names too, read or not
+    assert set(freedf.__all__) <= set(dir(freedf)) and dir(freedf) == sorted(dir(freedf))
     for name in freedf.__all__:
         assert getattr(freedf, name) is not None, name
 

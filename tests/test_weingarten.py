@@ -403,6 +403,21 @@ def test_disk_cache(tmp_path, monkeypatch):
     weingarten.cache_clear()
 
 
+def test_a_cache_entry_that_cannot_be_replaced_leaves_no_temporary_file(tmp_path, monkeypatch):
+    # a directory where the entry belongs: it is neither read nor replaced,
+    # and the temporary file written beside it is removed
+    monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)
+    weingarten.cache_clear()
+    want = weingarten(S_PLUS, 3, 4)
+    monkeypatch.setenv("FREEDF_CACHE_DIR", str(tmp_path))
+    (tmp_path / "s+_3_4.json").mkdir()
+    weingarten.cache_clear()
+    got = weingarten(S_PLUS, 3, 4)
+    assert got is not want and (got.D, got.num) == (want.D, want.num)
+    assert [p.name for p in tmp_path.iterdir()] == ["s+_3_4.json"] and (tmp_path / "s+_3_4.json").is_dir()
+    weingarten.cache_clear()
+
+
 def test_loaded_table_holds_the_computed_integer_form(tmp_path, monkeypatch):
     monkeypatch.setenv("FREEDF_CACHE_DIR", str(tmp_path))
     for cat, m, n in ((S_PLUS, 4, 5), (O_PLUS, 6, 3), (B_PLUS, 5, 4), (O_PLUS, 3, 4)):
