@@ -6,7 +6,11 @@ asymptotics, block-sum. Each command returns one JSON document, and one
 wrapper, _emits, writes it: as deterministic JSON (indent 2), or with
 `--format text` as a terse rendering on the seven commands that have
 one (partitions, gram, weingarten, haar, check, reconstruct, block-sum).
+The JSON is the bytes of json.dumps(doc, indent=2) + "\n", written by
+json_pieces a bounded piece at a time (a matrix row, up to WRITE_BATCH
+entries of a table order), so no job holds its whole output text.
 `--output FILE` writes the same bytes to FILE instead of stdout.
+Tables are read by table_from_text, one slice of an order at a time.
 Rationals are "p/q" strings.
 
 Exit codes: 0 success or PASS; 1 a FAIL verdict (check not PASS,
@@ -21,7 +25,9 @@ memory.
 """
 
 import functools
+import itertools
 import json
+import operator
 import sys
 
 import click
@@ -33,7 +39,7 @@ from .cumulants import (
     parse_count,
     parse_layers,
     parse_rgs_key,
-    table_from_json,
+    table_from_text,
 )
 from .errors import FreedfError, SchemaError
 from .partitions import (
@@ -63,12 +69,15 @@ def _emits(text=None, failed=None):
         def cmd(fmt="json", output=None, **kwargs):
             try:
                 doc = fn(**kwargs)
-                payload = text(doc) if fmt == "text" else json.dumps(doc, indent=2) + "\n"
+                pieces = [text(doc)] if fmt == "text" else itertools.chain(json_pieces(doc), "\n")
                 if output:
                     with open(output, "w", encoding="utf-8") as fh:
-                        fh.write(payload)
+                        fh.writelines(pieces)
+                elif fmt == "text":
+                    click.echo(pieces[0], nl=False)
                 else:
-                    click.echo(payload, nl=False)
+                    sys.stdout.writelines(pieces)
+                    sys.stdout.flush()
             except (FreedfError, ValueError, OSError) as e:  # json.JSONDecodeError is a ValueError
                 error = e.payload() if isinstance(e, FreedfError) else {"error": "error", "message": str(e)}
                 sys.stderr.write(json.dumps(error) + "\n")
@@ -84,13 +93,54 @@ def _emits(text=None, failed=None):
     return wrap
 
 
+_encode = json.encoder.encode_basestring_ascii
+WRITE_BATCH = 4096  # entries of a container that json_pieces joins into one piece
+
+
+def json_pieces(x, nl="\n"):
+    """The text of json.dumps(x, indent=2), in pieces, for x on a line
+    that nl (a newline and the indent) ends.
+
+    A non-empty list, or dict with string keys, is written one entry at a
+    time, or, when its entries are all strings, WRITE_BATCH entries to a
+    join; anything else is json.dumps(x, indent=2), re-indented.
+    """
+    inner = nl + "  "
+    if type(x) is dict and x and set(map(type, x)) == {str}:
+        brackets, heads, values = "{}", map("%s: ".__mod__, map(_encode, x)), x.values()
+    elif type(x) is list and x:
+        brackets, heads, values = "[]", itertools.repeat(""), x
+    else:
+        yield json.dumps(x, indent=2).replace("\n", nl)
+        return
+    if set(map(type, values)) == {str}:
+        yield from _joined(brackets[0] + inner, "," + inner, map(operator.add, heads, map(_encode, values)))
+    else:
+        sep = brackets[0] + inner
+        for head, value in zip(heads, values):
+            yield sep + head
+            yield from json_pieces(value, inner)
+            sep = "," + inner
+    yield nl + brackets[1]
+
+
+def _joined(head, sep, entries):
+    """head + sep.join(entries), in pieces of at most WRITE_BATCH entries;
+    no entry is empty."""
+    while piece := sep.join(itertools.islice(entries, WRITE_BATCH)):
+        yield head
+        yield piece
+        head = sep
+
+
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def _load_table(path, kind, usage):
-    table = table_from_json(_load_json(path))
+    with open(path, "r", encoding="utf-8") as fh:
+        table = table_from_text(fh.read())
     if table.kind != kind:
         raise SchemaError("%s expects a %s table" % (usage, kind))
     return table

@@ -25,9 +25,15 @@ cut word found by its rank. The reader hands Table every layer as the
 list of its values in the order to_json writes the keys: a layer of
 exactly those texts, in order, is read in one pass; in any other a key
 is parsed only when its text differs from the expected one at its place.
+table_from_text reads a document's text one bounded slice of an order
+at a time, checking each slice's keys against those texts, and hands
+any text it doubts to table_from_json(json.loads(text)), so its results
+and errors are table_from_json's.
 """
 
 import itertools
+import json
+import re
 from collections.abc import ItemsView, MutableMapping, ValuesView
 from fractions import Fraction
 from functools import cache, partial, reduce
@@ -53,7 +59,7 @@ from .partitions import (
     relabel,
     render_index_tuple,
 )
-from .rationals import rational_reader, rational_writer, read_rationals
+from .rationals import parse_rational, rational_reader, rational_writer, read_rationals
 
 DENSE_GUARD = 10 ** 7
 
@@ -346,8 +352,9 @@ def parse_layers(raw, max_order, parse_key, expected, texts=None):
     return out
 
 
-def table_from_json(doc):
-    """Parse and fully validate the table JSON interchange form."""
+def _table_header(doc):
+    """(class, n, max_order, repr) of a table document, every field but the
+    values checked."""
     if not isinstance(doc, dict):
         raise SchemaError("table document must be a JSON object")
     for field in ("n", "max_order", "kind", "repr", "values"):
@@ -360,10 +367,17 @@ def table_from_json(doc):
     rep = doc["repr"]
     if rep not in (DENSE, KERNEL):
         raise SchemaError("field 'repr' must be 'dense' or 'kernel', got %r" % (rep,))
+    if rep == DENSE:
+        _check_dense_size(n, max_order)
+    return (MomentTable if kind == "moments" else CumulantTable), n, max_order, rep
+
+
+def table_from_json(doc):
+    """Parse and fully validate the table JSON interchange form."""
+    cls, n, max_order, rep = _table_header(doc)
     if rep == KERNEL:
         values = parse_layers(doc["values"], max_order, parse_rgs_key, lambda m: kernel_classes(m, n))
     else:
-        _check_dense_size(n, max_order)
 
         def tuple_key(text, m):
             key = parse_index_tuple(text, n)
@@ -372,8 +386,97 @@ def table_from_json(doc):
             return key
 
         values = parse_layers(doc["values"], max_order, tuple_key, partial(_words, n), partial(product_texts, n))
-    cls = MomentTable if kind == "moments" else CumulantTable
     return cls(n, max_order, values, repr=rep)
+
+
+READ_SLICE = 1 << 16  # characters of an order object that table_from_text decodes at once
+
+_WS = "[ \t\n\r]*"  # JSON whitespace
+_OPEN_VALUES = re.compile(_WS + ":" + _WS + r"\{")
+_OPEN_ORDER = re.compile(_WS + '"([0-9]+)"' + _WS + ":" + _WS + r"\{")
+_CLOSE_ORDER = re.compile(_WS + "([,}])")
+
+
+def table_from_text(text):
+    """table_from_json(json.loads(text)), with each order decoded in slices.
+
+    The reader cuts the "values" object out of the text and decodes the
+    rest, the header, whole, with table_from_json's checks. It decodes
+    each order in slices of about READ_SLICE characters, each cut at a
+    comma between entries. The keys of each slice must be the next texts
+    that parse_layers expects, and its values strings, read through one
+    parse_rational memo. So no order is ever held as a dict of all its
+    entries. Any doubt, or any exception, hands the text to
+    table_from_json(json.loads(text)), which reads the table or raises
+    its error.
+    """
+    try:
+        table = _read_sliced(text)
+    except Exception:  # the whole-document path raises the error, or reads the table
+        table = None
+    return table_from_json(json.loads(text)) if table is None else table
+
+
+def _read_sliced(text):
+    """The table in text, or None where the sliced read is in doubt. With
+    no backslash in the text, every quote opens or closes a string."""
+    at = text.find('"values"')
+    if "\\" in text or at < 0 or text.find('"values"', at + 1) >= 0:
+        return None
+    opened = _OPEN_VALUES.match(text, at + len('"values"'))
+    if opened is None:
+        return None
+    orders, pos = [], opened.end()
+    while True:
+        key = _OPEN_ORDER.match(text, pos)
+        if key is None or key.group(1) != str(len(orders) + 1):
+            return None
+        spans, pos = _order_slices(text, key.end())
+        orders.append(spans)
+        closed = _CLOSE_ORDER.match(text, pos)
+        if closed is None:
+            return None
+        pos = closed.end()
+        if closed.group(1) == "}":
+            break
+    # the one "values" token is the top-level key that _table_header requires
+    cls, n, max_order, rep = _table_header(json.loads(text[: opened.end() - 1] + "{}" + text[pos:]))
+    if len(orders) != max_order:
+        return None
+    memo, values = {}, {}
+    for m, spans in enumerate(orders, 1):
+        texts = iter(map(str, kernel_classes(m, n)) if rep == KERNEL else product_texts(n, m))
+        vals = []
+        for a, b in spans:
+            piece = json.loads("{" + text[a:b] + "}")
+            if not piece or list(piece) != list(itertools.islice(texts, len(piece))):
+                return None
+            fresh = set(piece.values()).difference(memo)
+            if any(type(v) is not str for v in fresh):
+                return None
+            memo.update(zip(fresh, map(parse_rational, fresh)))
+            vals += map(memo.__getitem__, piece.values())
+        values[m] = vals
+    return cls(n, max_order, values, repr=rep)
+
+
+def _order_slices(text, a):
+    """The (start, stop) spans of the entries of the object opened just
+    before a, each about READ_SLICE characters long and cut after a value
+    that a comma follows, and the position after its closing brace.
+
+    A brace or a cut inside a string leaves an odd number of quotes in a
+    span, which then fails to decode, as the text holds no backslash.
+    """
+    end, spans = text.index("}", a), []
+    while end - a > READ_SLICE:
+        cut = text.find('",', a + READ_SLICE, end) + 1
+        if not cut:
+            break
+        spans.append((a, cut))
+        a = cut + 1
+    spans.append((a, end))
+    return spans, end + 1
 
 
 def kappa_pi(table, p, i):

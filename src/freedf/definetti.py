@@ -52,6 +52,7 @@ from .errors import (
     NotInvariant,
     NotKernelRepresentable,
     OrderExceedsN,
+    SchemaError,
     TableTooLarge,
 )
 from .partitions import Partition, check_indices, num_blocks, relabel, render_index_tuple
@@ -168,18 +169,31 @@ def check_invariance(mt, cat, up_to=None, tolerance=None):
     class order; only a failing class builds a Fraction. Only averaged
     orders use FREEDF_CACHE_DIR.
 
-    With a tolerance, a nonzero residual fails only when it exceeds
-    tolerance * max(1, |expected|); every residual is tested before the
-    witnesses are capped at MAX_WITNESSES.
+    With a tolerance, which must not be negative, a nonzero residual
+    fails only when it exceeds tolerance * max(1, |expected|); every
+    residual is tested before the witnesses are capped at MAX_WITNESSES.
     """
+    return _certify(mt, cat, up_to, tolerance)[0]
+
+
+def _check_tolerance(tolerance):
+    if tolerance is not None and tolerance < 0:
+        raise SchemaError("a tolerance must not be negative, got %s" % tolerance)
+
+
+def _certify(mt, cat, up_to, tolerance):
+    """(check_invariance's report, {m: mt.kernel_layer(m)} for each order it read)."""
+    _check_tolerance(tolerance)
     M = mt.max_order if up_to is None else min(up_to, mt.max_order)
     n = mt.n
     coefficients = {}
     residuals = {}
     witnesses = []
     failed = False
+    views = {}
     for m in range(1, M + 1):
         layer, view = mt.values[m], mt.kernel_layer(m)
+        views[m] = view
         if m <= n and view is not None:
             try:
                 coefficients[m] = _solve(view, cat, m, n).values
@@ -212,9 +226,10 @@ def check_invariance(mt, cat, up_to=None, tolerance=None):
             for tau, i, a in itertools.islice(bad, MAX_WITNESSES - len(witnesses)):
                 witnesses.append((m, i, predicted[tau], a))
         residuals[m] = layer_resid
-    return InvarianceReport(
+    report = InvarianceReport(
         "FAIL" if failed else "PASS", cat, n, mt.max_order, coefficients, residuals, witnesses
     )
+    return report, views
 
 
 def solve_moment_coefficients(table, cat, m, fallback=True):
@@ -573,6 +588,7 @@ def asymptotic_freeness_probe(models, cat, m, tolerance=Fraction(1, 10 ** 9)):
     are all within tolerance, or never increase in n and end below the
     first: a trend over the given tables, not a certificate of decay.
     """
+    _check_tolerance(tolerance)
     if cat not in (S_PLUS, O_PLUS):
         raise FreedfError("asymptotics probe supports categories s+ and o+ only")
     if m < 1:
@@ -598,10 +614,11 @@ def asymptotic_freeness_probe(models, cat, m, tolerance=Fraction(1, 10 ** 9)):
     for mt in models:
         if mt.max_order < m:
             raise FreedfError("table at n=%d stops at order %d, below the probed order %d" % (mt.n, mt.max_order, m))
-        report = check_invariance(mt, cat, up_to=m)
+        report, views = _certify(mt, cat, m, None)
         if not report.passed:
             raise NotInvariant("table at n=%d is not %s-invariant" % (mt.n, cat))
-        moments = MomentTable(mt.n, m, {k: list(mt.kernel_view(k).values()) for k in range(1, m + 1)}, repr=KERNEL)
+        # an exact PASS leaves every word equal to its class's prediction, so every view exists
+        moments = MomentTable(mt.n, m, {k: list(view.values()) for k, view in views.items()}, repr=KERNEL)
         tables["moment"].append(moments)
         tables["cumulant"].append(cumulants_from_moments(moments))
     entries = []

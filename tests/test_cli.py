@@ -125,6 +125,25 @@ def test_check_rational_rejects_tolerance(tmp_path):
     assert json.loads(result.stderr)["error"] == "schema-error"
 
 
+def test_negative_tolerance_exits_2(tmp_path):
+    # it ran: a passing table gave PASS, a failing one was checked at tolerance 0
+    sc = semicircular_model(4, 2).to_dense()
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(sc.to_json()))
+    sc.values[2][(1, 1)] = Fraction(2)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(sc.to_json()))
+    for path in (good, bad):
+        result = run(["check", "--category", "o+", "--input", str(path), "--mode", "float", "--tolerance", "-1"])
+        assert (result.exit_code, result.stdout) == (2, "")
+        want = {"error": "schema-error", "message": "a tolerance must not be negative, got -1"}
+        assert json.loads(result.stderr) == want
+    result = run(["asymptotics", "--category", "o+", "--m", "2", "--tolerance", "-1/2", "--inputs", str(good)])
+    assert (result.exit_code, result.stdout) == (2, "")
+    want = {"error": "schema-error", "message": "a tolerance must not be negative, got -1/2"}
+    assert json.loads(result.stderr) == want
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_semicircular_refuses_n_below_one(n):
     # it wrote a table with no classes, which transform and check then refused

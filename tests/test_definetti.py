@@ -42,6 +42,7 @@ from freedf.errors import (
     MissingLowerOrder,
     NotInvariant,
     OrderExceedsN,
+    SchemaError,
     SingularGram,
 )
 from freedf.partitions import (
@@ -547,6 +548,26 @@ def test_check_runs_the_kernel_test_once_per_order(monkeypatch):
     report = check_invariance(dense, S_PLUS)
     assert not report.passed and any(report.residuals[6].values())
     assert sorted(calls) == [1, 2, 3, 4, 5, 6]
+
+
+def test_probe_runs_the_kernel_test_once_per_table_and_order(monkeypatch):
+    models = [semicircular_model(n, 6).to_dense() for n in (3, 4)]
+    calls = []
+    kernel_layer = Table.kernel_layer
+    monkeypatch.setattr(Table, "kernel_layer", lambda self, m: calls.append((self.n, m)) or kernel_layer(self, m))
+    report = asymptotic_freeness_probe(models, O_PLUS, 6)
+    assert report.verdict == "DECAY"
+    assert sorted(calls) == [(n, m) for n in (3, 4) for m in range(1, 7)]
+
+
+def test_negative_tolerance_is_refused():
+    mt = semicircular_model(3, 3).to_dense()
+    for tolerance in (Fraction(-1), -1e-9):
+        with pytest.raises(SchemaError, match="a tolerance must not be negative"):
+            check_invariance(mt, O_PLUS, tolerance=tolerance)
+        with pytest.raises(SchemaError, match="a tolerance must not be negative"):
+            asymptotic_freeness_probe([semicircular_model(n, 4) for n in (4, 6)], O_PLUS, 4, tolerance=tolerance)
+    assert check_invariance(mt, O_PLUS, tolerance=Fraction(0)).passed
 
 
 def test_probe_semicircular_decays():
