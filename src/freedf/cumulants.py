@@ -21,14 +21,12 @@ keyed by words, a word's position found by Horner's rule. A dense layer
 depends on words only through their kernels iff it is S_n-invariant,
 which Table.kernel_layer tests by position; a table whose every layer
 passes is transformed on its kernel classes, any other by position, a
-cut word found by its rank. The reader hands Table every layer as the
-list of its values in the order to_json writes the keys: a layer of
-exactly those texts, in order, is read in one pass; in any other a key
-is parsed only when its text differs from the expected one at its place.
-table_from_text reads a document's text one bounded slice of an order
-at a time, checking each slice's keys against those texts, and hands
-any text it doubts to table_from_json(json.loads(text)), so its results
-and errors are table_from_json's.
+cut word found by its rank. read_order hands Table every layer as the
+list of its values in the order to_json writes the keys, from pieces of
+the layer: a whole order object, or the bounded slices table_from_text
+decodes one at a time. Pieces of exactly the expected texts are read as
+they stand, any other key by its position, so no layer is held as a
+dict of its entries.
 """
 
 import itertools
@@ -38,7 +36,7 @@ from collections.abc import ItemsView, MutableMapping, ValuesView
 from fractions import Fraction
 from functools import cache, partial, reduce
 from math import lcm, prod
-from operator import add, attrgetter, eq, itemgetter, mul
+from operator import add, attrgetter, eq, is_, itemgetter, mul
 
 from .errors import (
     IncompleteTable,
@@ -59,7 +57,7 @@ from .partitions import (
     relabel,
     render_index_tuple,
 )
-from .rationals import parse_rational, rational_reader, rational_writer, read_rationals
+from .rationals import rational_reader, rational_writer, read_rationals
 
 DENSE_GUARD = 10 ** 7
 
@@ -68,7 +66,7 @@ KERNEL = "kernel"
 
 
 def _check_dense_size(n, max_order):
-    if max_order >= 1 and n ** max_order > DENSE_GUARD:
+    if max_order >= 1 and n ** min(max_order, 24) > DENSE_GUARD:  # 2^24 > DENSE_GUARD
         raise TableTooLarge(
             "dense table would need n^M = %d^%d entries; use the kernel representation" % (n, max_order)
         )
@@ -100,10 +98,6 @@ def product_texts(n, m):
     return texts
 
 
-def _words(n, m):
-    return itertools.product(range(1, n + 1), repeat=m)
-
-
 class DenseLayer(MutableMapping):
     """Order m of a dense table: vals lists the value of each word of [n]^m
     in itertools.product order. Its keys are exactly those words: any
@@ -131,7 +125,7 @@ class DenseLayer(MutableMapping):
         raise TypeError("a dense layer keeps every word of [n]^m; %r cannot be deleted" % (word,))
 
     def __iter__(self):
-        return _words(self.n, self.m)
+        return itertools.product(range(1, self.n + 1), repeat=self.m)
 
     def __len__(self):
         return len(self.vals)
@@ -298,22 +292,9 @@ def parse_rgs_key(text, m):
     return key
 
 
-_NO_TEXT = object()  # a text no key equals
-_PAST_END = itertools.repeat((None, _NO_TEXT))
-
-
-def parse_layers(raw, max_order, parse_key, expected, texts=None):
-    """{m: [Fraction, ...]} for m = 1..max_order from {"m": {text: value}}.
-
-    raw must carry exactly the orders "1".."max_order". expected(m) yields
-    the keys of order m in the order to_json writes them, and texts(m)
-    their texts (str of each key by default); order m must carry exactly
-    these keys, each given once, and is returned as its values in that
-    order. A layer of exactly these texts is read in one pass; elsewhere
-    a text differing from the expected one at its position is read by
-    parse_key(text, m), into a dict that is checked, then listed.
-    """
-    texts = texts or (lambda m: map(str, expected(m)))
+def parse_layers(raw, max_order, parse_key, expected, texts=None, places=None):
+    """{m: [Fraction, ...]} for exactly the orders m = 1..max_order of
+    {"m": {text: value}}, each read by read_order as one piece."""
     if not isinstance(raw, dict):
         raise SchemaError("field 'values' must be an object keyed by order")
     out = {}
@@ -323,33 +304,59 @@ def parse_layers(raw, max_order, parse_key, expected, texts=None):
             raise IncompleteTable("values for order %d are missing" % m, missing=[str(m)])
         if not isinstance(layer_doc, dict):
             raise SchemaError("values for order %d must be an object keyed by entry" % m)
-        # zip_longest pads the shorter side, so a missing or extra key fails too
-        if all(itertools.starmap(eq, itertools.zip_longest(layer_doc, texts(m), fillvalue=_NO_TEXT))):
-            out[m] = list(read_rationals(layer_doc.values()))
-            continue
-        keys = list(expected(m))
-        layer, read = {}, rational_reader()
-        want = zip(keys, texts(m))
-        for (text, val), (key, canon) in zip(layer_doc.items(), itertools.chain(want, _PAST_END)):
-            if text != canon:
-                key = parse_key(text, m)
-            if key in layer:
-                raise SchemaError("order %d repeats the key %s as %r" % (m, render_index_tuple(key), text))
-            layer[key] = read(val)
-        missing = [key for key in keys if key not in layer]
-        if missing:
-            shown = [render_index_tuple(k) for k in missing[:8]]
-            raise IncompleteTable(
-                "order %d is missing %d entries, e.g. %s" % (m, len(missing), ", ".join(shown)), missing=shown
-            )
-        stray = set(layer).difference(keys)
-        if stray:
-            raise SchemaError("order %d carries an unexpected key %r" % (m, render_index_tuple(min(stray))))
-        out[m] = list(map(layer.__getitem__, keys))
+        out[m] = read_order([layer_doc], m, parse_key, expected, texts, places)
     stray = [text for text in raw if text not in map(str, range(1, max_order + 1))]
     if stray:
         raise SchemaError("values carries an unexpected order %r" % (stray[0],))
     return out
+
+
+def read_order(pieces, m, parse_key, expected, texts=None, places=None):
+    """The values of order m, in the order expected(m) lists its keys, from
+    its entries given as consecutive {text: value} pieces, each key once.
+
+    Pieces of the next texts(m) (by default str of each key) are read as
+    they stand. From the first other piece on, each key is parsed by
+    parse_key(text, m) and its value put at place(key): (place, size) =
+    places(m), else each key's index in expected(m) and their number; None
+    is a stray key. Errors come in document order (a parse, a repeat, a
+    bad value), then the missing keys, then the smallest stray key.
+    """
+    texts = texts or (lambda m: map(str, expected(m)))
+    want, memo, vals, pieces = iter(texts(m)), {}, [], iter(pieces)
+    for piece in pieces:
+        if sum(map(eq, piece, itertools.islice(want, len(piece)))) != len(piece):
+            break
+        vals += read_rationals(piece.values(), memo)
+    else:
+        if next(want, None) is None:
+            return vals
+        piece = {}
+    if places:
+        place, size = places(m)
+    else:
+        index = {key: at for at, key in enumerate(expected(m))}
+        place, size = index.get, len(index)
+    vals += [None] * (size - len(vals))
+    read, stray = rational_reader(memo), {}
+    for text, val in itertools.chain.from_iterable(map(dict.items, itertools.chain([piece], pieces))):
+        key = parse_key(text, m)
+        at = place(key)
+        if key in stray if at is None else vals[at] is not None:
+            raise SchemaError("order %d repeats the key %s as %r" % (m, render_index_tuple(key), text))
+        if at is None:
+            stray[key] = read(val)
+        else:
+            vals[at] = read(val)
+    gaps = list(map(is_, vals, itertools.repeat(None)))
+    if any(gaps):
+        shown = list(itertools.islice(itertools.compress(texts(m), gaps), 8))
+        raise IncompleteTable(
+            "order %d is missing %d entries, e.g. %s" % (m, sum(gaps), ", ".join(shown)), missing=shown
+        )
+    if stray:
+        raise SchemaError("order %d carries an unexpected key %r" % (m, render_index_tuple(min(stray))))
+    return vals
 
 
 def _table_header(doc):
@@ -375,18 +382,26 @@ def _table_header(doc):
 def table_from_json(doc):
     """Parse and fully validate the table JSON interchange form."""
     cls, n, max_order, rep = _table_header(doc)
+    return cls(n, max_order, parse_layers(doc["values"], max_order, *_table_keys(n, rep)), repr=rep)
+
+
+def _table_keys(n, rep):
+    """(parse_key, expected, texts, places) of the orders of a table, for read_order."""
     if rep == KERNEL:
-        values = parse_layers(doc["values"], max_order, parse_rgs_key, lambda m: kernel_classes(m, n))
-    else:
+        return parse_rgs_key, lambda m: kernel_classes(m, n), None, None
 
-        def tuple_key(text, m):
-            key = parse_index_tuple(text, n)
-            if len(key) != m:
-                raise SchemaError("tuple %r under order %d has length %d" % (text, m, len(key)))
-            return key
+    def tuple_key(text, m):
+        key = parse_index_tuple(text, n)
+        if len(key) != m:
+            raise SchemaError("tuple %r under order %d has length %d" % (text, m, len(key)))
+        return key
 
-        values = parse_layers(doc["values"], max_order, tuple_key, partial(_words, n), partial(product_texts, n))
-    return cls(n, max_order, values, repr=rep)
+    def ranks(m):  # of the words tuple_key returns: labels in 1..n, so no check
+        weights = [n ** (m - 1 - j) for j in range(m)]
+        ones = sum(weights)
+        return lambda word: sum(map(mul, word, weights)) - ones, n ** m
+
+    return tuple_key, None, partial(product_texts, n), ranks
 
 
 READ_SLICE = 1 << 16  # characters of an order object that table_from_text decodes at once
@@ -403,10 +418,9 @@ def table_from_text(text):
     The reader cuts the "values" object out of the text and decodes the
     rest, the header, whole, with table_from_json's checks. It decodes
     each order in slices of about READ_SLICE characters, each cut at a
-    comma between entries. The keys of each slice must be the next texts
-    that parse_layers expects, and its values strings, read through one
-    parse_rational memo. So no order is ever held as a dict of all its
-    entries. Any doubt, or any exception, hands the text to
+    comma between entries, as the pieces read_order reads, so no order is
+    ever held whole. Any doubt, or any exception (a key repeated across a
+    cut, say, which JSON reads as its last value), hands the text to
     table_from_json(json.loads(text)), which reads the table or raises
     its error.
     """
@@ -432,6 +446,8 @@ def _read_sliced(text):
         if key is None or key.group(1) != str(len(orders) + 1):
             return None
         spans, pos = _order_slices(text, key.end())
+        if not text[slice(*spans[-1])].strip():  # an empty order, or a comma before its closing brace
+            return None
         orders.append(spans)
         closed = _CLOSE_ORDER.match(text, pos)
         if closed is None:
@@ -443,20 +459,9 @@ def _read_sliced(text):
     cls, n, max_order, rep = _table_header(json.loads(text[: opened.end() - 1] + "{}" + text[pos:]))
     if len(orders) != max_order:
         return None
-    memo, values = {}, {}
+    keys, values = _table_keys(n, rep), {}
     for m, spans in enumerate(orders, 1):
-        texts = iter(map(str, kernel_classes(m, n)) if rep == KERNEL else product_texts(n, m))
-        vals = []
-        for a, b in spans:
-            piece = json.loads("{" + text[a:b] + "}")
-            if not piece or list(piece) != list(itertools.islice(texts, len(piece))):
-                return None
-            fresh = set(piece.values()).difference(memo)
-            if any(type(v) is not str for v in fresh):
-                return None
-            memo.update(zip(fresh, map(parse_rational, fresh)))
-            vals += map(memo.__getitem__, piece.values())
-        values[m] = vals
+        values[m] = read_order((json.loads("{%s}" % text[a:b]) for a, b in spans), m, *keys)
     return cls(n, max_order, values, repr=rep)
 
 

@@ -46,11 +46,11 @@ def parse_rational(text):
     return Fraction(p, q)
 
 
-def rational_reader():
+def rational_reader(memo=None):
     """parse_rational that parses each distinct string once, equal strings
-    sharing one Fraction. Other values are parsed on every call, so True
-    (the same dict key as 1) stays a BadRational."""
-    memo = {}
+    sharing one Fraction of memo, {text: Fraction}. Other values are parsed
+    on every call, so True (the same dict key as 1) stays a BadRational."""
+    memo = {} if memo is None else memo
 
     def read(value):
         if not isinstance(value, str):
@@ -63,12 +63,16 @@ def rational_reader():
     return read
 
 
-def read_rationals(values):
-    """map(rational_reader(), values); all-string values are parsed up front, in first-occurrence order."""
-    if set(map(type, values)) != {str}:  # lists, say, cannot be dict keys
-        return map(rational_reader(), values)
-    memo = {text: parse_rational(text) for text in dict.fromkeys(values)}
-    return map(memo.__getitem__, values)
+def read_rationals(values, memo):
+    """map(rational_reader(memo), values), the strings new to memo parsed up front if all parse."""
+    try:
+        fresh = set(values).difference(memo)
+        if all(type(v) is str for v in fresh):
+            memo.update(zip(fresh, map(parse_rational, fresh)))
+            return map(memo.__getitem__, values)
+    except (TypeError, BadRational):  # a list is no set member; a bad string
+        pass
+    return map(rational_reader(memo), values)
 
 
 def rational_writer(den=1):

@@ -5,6 +5,7 @@ import json
 import random
 import re
 from math import lcm, prod
+from unittest import mock
 
 import pytest
 from fractions import Fraction
@@ -29,6 +30,7 @@ from freedf.cumulants import (
     representative_tuple,
     scale_into,
     table_from_json,
+    table_from_text,
     tuple_kernels,
 )
 from freedf.categories import O_PLUS, S_PLUS, enumerate_category
@@ -635,7 +637,11 @@ def test_reader_matches_per_key_reader(shape, rep, ops, bad_values, rng):
                 items[j] = (items[j][0], rng.choice(("x", True, "1/0")))
         values[str(m)] = dict(items)
     doc = {"n": n, "max_order": M, "kind": "moments", "repr": rep, "values": values}
-    assert read_outcome(table_from_json, doc) == read_outcome(reference_table_from_json, doc)
+    want = read_outcome(reference_table_from_json, doc)
+    assert read_outcome(table_from_json, doc) == want
+    for size in (1, 24):  # and from the text, in slices of that many characters
+        with mock.patch.object(cumulants_module, "READ_SLICE", size):
+            assert read_outcome(lambda doc: table_from_text(json.dumps(doc)), doc) == want
 
 
 def test_reader_matches_per_key_reader_on_fixed_documents():

@@ -62,6 +62,15 @@ def test_rational_reader_parses_each_string_once(monkeypatch):
     assert seen[-3:] == [True, "1/0", "1/0"]
 
 
+def test_read_rationals_raises_at_the_first_bad_string():
+    # the first in document order, whatever order a set of the strings takes
+    import freedf.rationals as rationals
+
+    values = ["1/2"] + ["%d/x" % k for k in range(50)]
+    with pytest.raises(BadRational, match=r"^bad denominator in '0/x'$"):
+        list(rationals.read_rationals(values, {}))
+
+
 def test_rational_writer_formats_each_value_once(monkeypatch):
     import freedf.rationals as rationals
 

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -20,8 +21,9 @@ import pytest
 from freedf import cli
 from freedf import cumulants as cumulants_module
 from freedf.categories import S_PLUS
-from freedf.cumulants import table_from_json, table_from_text
+from freedf.cumulants import MomentTable, table_from_json, table_from_text
 from freedf.definetti import generate_invariant_model, semicircular_model
+from freedf.errors import TableTooLarge
 from test_cli_golden import _write_inputs
 
 
@@ -124,7 +126,7 @@ def test_named_cases(monkeypatch):
         "numeric value", "tabs", "CRLF", "compact", "order out of place", "stray field",
     ]
     assert [name for name, edited in named_cases(text, doc) if sliced(edited)] == [
-        "key repeated in a slice", "tabs", "CRLF", "compact", "stray field",
+        "key repeated in a slice", "numeric value", "tabs", "CRLF", "compact", "stray field",
     ]
 
 
@@ -172,11 +174,30 @@ def dense6():
     return generate_invariant_model(S_PLUS, 6, 6, seed=19).to_dense()
 
 
-def test_dense_read_peaks_below_3_mb(dense6):
-    # the whole-document path peaks at about 11 MB on this 1.9 MB text
-    text = json.dumps(dense6.to_json(), indent=2) + "\n"
+@pytest.mark.parametrize("shuffled", [False, True], ids=["canonical", "shuffled"])
+def test_dense_read_peaks_below_3_mb(dense6, shuffled):
+    # the whole-document path peaks at about 11 MB on this 1.9 MB text; a
+    # shuffled order is read by rank, so no dict keyed by its words is built
+    doc = dense6.to_json()
+    rng = random.Random(19)
+    for m, layer in doc["values"].items() if shuffled else ():
+        items = list(layer.items())
+        rng.shuffle(items)
+        doc["values"][m] = dict(items)
+    text = json.dumps(doc, indent=2) + "\n"
     assert sliced(text)
     assert traced_peak(table_from_text, text) < 3 * 10 ** 6
+
+
+def test_huge_dense_header_is_refused_at_once():
+    # checked on the sliced path, then again on the whole-document path
+    order = {"1": "1/1", "2": "1/1", "3": "1/1"}
+    text = json.dumps({"n": 3, "max_order": 10 ** 7, "kind": "moments", "repr": "dense", "values": {"1": order}})
+    for read in (table_from_text, lambda text: MomentTable(3, 10 ** 7, {})):
+        start = time.perf_counter()
+        with pytest.raises(TableTooLarge, match=r"n\^M = 3\^10000000 entries"):
+            read(text)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_written_document_peaks_below_half_of_json_dumps(dense6):
