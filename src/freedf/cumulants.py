@@ -13,20 +13,20 @@ kappa_pi(i) is summed by the block V of pi containing position 1
 (Nica-Speicher, Lecture 11): phi(i) = sum over V of kappa(i|V) times
 phi on each gap of V, 2^(m-1) terms instead of |NC(m)|. Only the term
 V = [m] is of order m, so one recursion, run upward, serves both
-directions.
+directions and, by position, both representations (_transform).
 
 Every dense layer of a Table is a DenseLayer: the list of its values in
 itertools.product order, the order to_json writes, behind a mapping
-keyed by words, a word's position found by Horner's rule. A dense layer
-depends on words only through their kernels iff it is S_n-invariant,
-which Table.kernel_layer tests by position; a table whose every layer
-passes is transformed on its kernel classes, any other by position, a
-cut word found by its rank. read_order hands Table every layer as the
-list of its values in the order to_json writes the keys, from pieces of
-the layer: a whole order object, or the bounded slices table_from_text
-decodes one at a time. Pieces of exactly the expected texts are read as
-they stand, any other key by its position, so no layer is held as a
-dict of its entries.
+keyed by words, a word's position its dot product with the place
+weights. A dense layer depends on words only through their kernels iff
+it is S_n-invariant, which Table.kernel_layer tests by position; a table
+whose every layer passes is transformed on its kernel classes, any other
+by the rank of each cut word, at most 2^(M-1)*n^M <= DENSE_GUARD steps.
+read_order hands Table every layer as the list of its values in the
+order to_json writes the keys, from pieces of the layer: a whole order
+object, or the bounded slices table_from_text decodes one at a time.
+Pieces of exactly the expected texts are read as they stand, any other
+key by its position, so no layer is held as a dict of its entries.
 """
 
 import itertools
@@ -34,7 +34,7 @@ import json
 import re
 from collections.abc import ItemsView, MutableMapping, ValuesView
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, partial
 from math import lcm, prod
 from operator import add, attrgetter, eq, is_, itemgetter, mul
 
@@ -73,6 +73,13 @@ def _check_dense_size(n, max_order):
 
 
 @cache
+def place_weights(n, m):
+    """(n^(m-1), ..., n, 1): a word's product-order rank is its dot product
+    with them, its labels read 0-based."""
+    return tuple(n ** (m - 1 - j) for j in range(m))
+
+
+@cache
 def tuple_kernels(m, n):
     """[ker(i) for i in [n]^m] in product order, built once per (m, n), of
     kernel_classes(m, n) objects. A word of class tau labels its blocks
@@ -80,8 +87,8 @@ def tuple_kernels(m, n):
     got = [None] * n ** m
     for tau in kernel_classes(m, n):
         weights = [0] * num_blocks(tau)
-        for j, block in enumerate(tau):
-            weights[block] += n ** (m - 1 - j)
+        for block, weight in zip(tau, place_weights(n, m)):
+            weights[block] += weight
         labellings = itertools.permutations(range(n), len(weights))
         for rank in map(sum, map(map, itertools.repeat(mul), labellings, itertools.repeat(weights))):
             got[rank] = tau
@@ -103,16 +110,17 @@ class DenseLayer(MutableMapping):
     in itertools.product order. Its keys are exactly those words: any
     other key is a KeyError, and no word can be deleted."""
 
-    __slots__ = ("n", "m", "vals")
+    __slots__ = ("n", "m", "vals", "weights")
 
     def __init__(self, n, m, vals):
-        self.n, self.m, self.vals = n, m, vals
+        self.n, self.m, self.vals, self.weights = n, m, vals, place_weights(n, m)
 
     def rank(self, word):
-        """A word's position in product order, by Horner's rule."""
-        n = self.n
-        if isinstance(word, tuple) and len(word) == self.m and all(isinstance(a, int) and 0 < a <= n for a in word):
-            return reduce(lambda r, a: r * n + a - 1, word, 0)
+        """A word's position in product order: its dot product with the
+        place weights, less that of the word 1, ..., 1."""
+        if isinstance(word, tuple) and len(word) == self.m and all(map(isinstance, word, itertools.repeat(int))):
+            if 0 < min(word) and max(word) <= self.n:
+                return sum(map(mul, word, self.weights)) - sum(self.weights)
         raise KeyError(word)
 
     def __getitem__(self, word):
@@ -205,11 +213,11 @@ class Table:
         is read at its first word in product order, its representative."""
         if self.repr == KERNEL:
             return self.values[m]
-        n, vals = self.n, self.values[m].vals
+        n, layer = self.n, self.values[m]
         for label in ([1, 0, *range(2, n)], [*range(1, n), 0]) if n > 1 else ():
-            if list(map(vals.__getitem__, _ranks(range(m), n, m, label))) != vals:
+            if list(map(layer.vals.__getitem__, _ranks(range(m), n, m, label))) != layer.vals:
                 return None
-        return {tau: vals[reduce(lambda r, lab: r * n + lab, tau, 0)] for tau in kernel_classes(m, n)}
+        return {tau: layer.vals[sum(map(mul, tau, layer.weights))] for tau in kernel_classes(m, n)}
 
     def kernel_view(self, m):
         """Kernel-class view {tau: value} of order m.
@@ -397,7 +405,7 @@ def _table_keys(n, rep):
         return key
 
     def ranks(m):  # of the words tuple_key returns: labels in 1..n, so no check
-        weights = [n ** (m - 1 - j) for j in range(m)]
+        weights = place_weights(n, m)
         ones = sum(weights)
         return lambda word: sum(map(mul, word, weights)) - ones, n ** m
 
@@ -513,24 +521,21 @@ def _cut(positions):
 
 @cache
 def first_block_shapes(m):
-    """Every first block V of [m] (0 in V, V != [m]) with its gaps.
-
-    The gaps are the maximal runs of positions outside V. A shape is
-    (V, gaps, cut_V, cut_gaps): position tuples and the itemgetters that
-    cut the restricted words out of a key. Built once per m.
-    """
+    """Every first block V of [m] (0 in V, V != [m]) with its gaps, the
+    maximal runs of positions outside V, as (V, gaps) position tuples.
+    Built once per m."""
     got = []
     for mask in range(2 ** (m - 1) - 1):
         V = (0,) + tuple(k for k in range(1, m) if mask >> (k - 1) & 1)
         runs = itertools.groupby(range(m), V.__contains__)
-        gaps = tuple(tuple(run) for inside, run in runs if not inside)
-        got.append((V, gaps, _cut(V), tuple(map(_cut, gaps))))
+        got.append((V, tuple(tuple(run) for inside, run in runs if not inside)))
     return tuple(got)
 
 
 class _Words(dict):
-    """Values keyed by kernel classes, also found from any word over them
-    (relabelled once, then cached), so restrictions build no Partition."""
+    """Positions of the kernel classes of an order, also found from any
+    word over them (relabelled once, then cached), so restrictions build
+    no Partition."""
 
     def __missing__(self, word):
         key = relabel(word)
@@ -590,64 +595,53 @@ def _ranks(positions, n, m, label=None):
 
 
 def _transform(table, to_moments):
-    """The first-block relation, order by order upward.
+    """The first-block relation, order by order upward: {m: values of order
+    m in the order to_json writes them}.
 
     With s = sum over first_block_shapes(m) of kappa(i|V) * prod phi(i|gap),
     which reads lower orders only, phi = kappa + s or kappa = phi - s.
-    Both families are integer numerators over per-order denominators, so
-    each key sums integers and divides once. A dense table runs on its
-    kernel classes if it has them, else by the rank of a cut word (_ranks).
+    Both families are lists of integer numerators over per-order
+    denominators, so each entry sums integers and divides once. The
+    restriction of each entry to V or to a gap is its index in the lower
+    order's list: for a dense table the rank of the cut word (_ranks), for
+    a kernel table the position of the cut class (_Words). A dense table
+    runs on its kernel classes if it has them.
     """
     dense, n, M = table.repr == DENSE, table.n, table.max_order
     if dense:
         views = list(itertools.takewhile(lambda view: view is not None, map(table.kernel_layer, range(1, M + 1))))
         if len(views) == M:
             layers = {m: list(view.values()) for m, view in enumerate(views, 1)}
-            kernel = _transform(Table(n, M, layers, repr=KERNEL), to_moments)
-            return {m: list(map(layer.__getitem__, tuple_kernels(m, n))) for m, layer in kernel.items()}
-    src, dst = ({}, {}) if dense else (_Words(), _Words())
-    den_src, den_dst = {}, {}
+            kernel = Table(n, M, _transform(Table(n, M, layers, repr=KERNEL), to_moments), repr=KERNEL)
+            return {m: layer.vals for m, layer in kernel.to_dense().values.items()}
+        if 2 ** min(M - 1, 24) * n ** min(M, 24) > DENSE_GUARD:  # 2^24 > DENSE_GUARD
+            raise TableTooLarge("a dense transform by position takes 2^(M-1)*n^M = 2^%d*%d^%d steps" % (M - 1, n, M))
+    src, dst, den_src, den_dst, words, out = {}, {}, {}, {}, {}, {}
     if to_moments:
         kappa, phi, den_kappa, den_phi, sign = src, dst, den_src, den_dst, 1
     else:
         kappa, phi, den_kappa, den_phi, sign = dst, src, den_dst, den_src, -1
-    out = {}
     for m in range(1, M + 1):
-        layer = table.values[m]
+        den_src[m], src[m] = to_integers(table.values[m].values())
         if dense:
-            den_src[m], src[m] = to_integers(layer.vals)
+            index = partial(_ranks, n=n, m=m)
         else:
-            den_src[m] = scale_into(src, layer)
+            classes = kernel_classes(m, n)
+            words[m] = _Words(zip(classes, itertools.count()))
+            index = lambda P: list(map(words[len(P)].__getitem__, map(_cut(P), classes)))
         shapes = first_block_shapes(m)
-        dens = [den_kappa[len(V)] * prod(den_phi[len(g)] for g in gaps) for V, gaps, _, _ in shapes]
+        dens = [den_kappa[len(V)] * prod(den_phi[len(g)] for g in gaps) for V, gaps in shapes]
         dstar = lcm(den_src[m], *dens)
         mults = [sign * (dstar // d) for d in dens]
-        lead = dstar // den_src[m]
-        if dense:
-            acc = [v * lead for v in src[m]]
-            runs = {g: _ranks(g, n, m) for g in {g for _, gaps, _, _ in shapes for g in gaps}}
-            for (V, gaps, _, _), mult in zip(shapes, mults):
-                if any(kappa[len(V)]):
-                    term = map([mult * k for k in kappa[len(V)]].__getitem__, _ranks(V, n, m))
-                    for g in gaps:
-                        term = map(mul, term, map(phi[len(g)].__getitem__, runs[g]))
-                    acc = list(map(add, acc, term))
-            fractions = {a: Fraction(a, dstar) for a in set(acc)}
-            res = list(map(fractions.__getitem__, acc))
-            den_dst[m], dst[m] = to_integers(res)
-        else:
-            terms = [(cut_v, cut_gaps, mult) for (_, _, cut_v, cut_gaps), mult in zip(shapes, mults)]
-            res = {}
-            for key in layer:
-                acc = src[key] * lead
-                for cut_v, cut_gaps, mult in terms:
-                    k = kappa[cut_v(key)]
-                    if k:
-                        term = mult * k
-                        for cut in cut_gaps:
-                            term *= phi[cut(key)]
-                        acc += term
-                res[key] = Fraction(acc, dstar)
-            den_dst[m] = scale_into(dst, res)
-        out[m] = res
+        acc = list(map(mul, src[m], itertools.repeat(dstar // den_src[m])))
+        runs = {g: index(g) for g in {g for _, gaps in shapes for g in gaps}}
+        for (V, gaps), mult in zip(shapes, mults):
+            if any(kappa[len(V)]):
+                term = map([mult * k for k in kappa[len(V)]].__getitem__, index(V))
+                for g in gaps:
+                    term = map(mul, term, map(phi[len(g)].__getitem__, runs[g]))
+                acc = list(map(add, acc, term))
+        fractions = {a: Fraction(a, dstar) for a in set(acc)}
+        out[m] = list(map(fractions.__getitem__, acc))
+        den_dst[m], dst[m] = to_integers(out[m])
     return out

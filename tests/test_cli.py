@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from fractions import Fraction
 
 from freedf.cli import main
-from freedf.cumulants import table_from_json
+from freedf.cumulants import MomentTable, table_from_json
 from freedf.definetti import semicircular_model
 
 
@@ -550,6 +550,18 @@ def test_matrix_size_guard_reaches_every_command(tmp_path, monkeypatch):
         result = run(args)
         assert result.exit_code == 2, (args, result.output)
         assert json.loads(result.stderr)["error"] == "table-too-large"
+
+
+def test_dense_transform_past_the_step_bound_exits_2(tmp_path):
+    # order 1 is not S_2-invariant, so the n=2 M=13 table would be
+    # transformed by position, in 2^12 * 2^13 steps
+    layers = {m: [Fraction(0)] * 2 ** m for m in range(1, 14)}
+    layers[1] = [Fraction(1), Fraction(0)]
+    path = tmp_path / "d2.json"
+    path.write_text(json.dumps(MomentTable(2, 13, layers).to_json()))
+    result = run(["transform", "--to", "cumulants", "--input", str(path)])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert json.loads(result.stderr)["error"] == "table-too-large"
 
 
 def test_negative_n_exits_2_with_a_schema_error():

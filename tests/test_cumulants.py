@@ -17,6 +17,7 @@ from freedf.cumulants import (
     CumulantTable,
     MomentTable,
     Table,
+    _cut,
     _transform,
     _Words,
     cumulants_from_moments,
@@ -180,6 +181,28 @@ def test_table_keys_are_checked():
 def test_dense_guard():
     with pytest.raises(TableTooLarge):
         MomentTable(100, 5, {})
+
+
+def perturbed_two_letter_table(M):
+    """A dense n=2 moment table of orders 1..M whose order 1 is not S_2-invariant."""
+    layers = {m: [Fraction(0)] * 2 ** m for m in range(1, M + 1)}
+    layers[1] = [Fraction(1), Fraction(0)]
+    return MomentTable(2, M, layers)
+
+
+def test_dense_transform_by_position_is_bounded(monkeypatch):
+    # 2^(M-1) * n^M steps: 2^25 at n=2, M=13, which once took about 18 s
+    table = perturbed_two_letter_table(13)
+    for convert in (cumulants_from_moments, moments_from_cumulants):
+        with pytest.raises(TableTooLarge, match=r"2\^12\*2\^13 steps"):
+            convert(table)
+    # the bound is exact: 2^3 * 2^4 = 128 steps at n=2, M=4
+    small = perturbed_two_letter_table(4)
+    monkeypatch.setattr(cumulants_module, "DENSE_GUARD", 128)
+    assert moments_from_cumulants(cumulants_from_moments(small)).values == small.values
+    monkeypatch.setattr(cumulants_module, "DENSE_GUARD", 127)
+    with pytest.raises(TableTooLarge):
+        cumulants_from_moments(small)
 
 
 def test_kernel_table_and_views():
@@ -700,10 +723,12 @@ def words(n, m):
     return list(itertools.product(range(1, n + 1), repeat=m))
 
 
-def reference_dense_transform(table, to_moments):
-    """The tuple-keyed dense first-block transform that preceded the
-    positional one, kept as its oracle: every cut word is a dict lookup."""
-    src, dst, den_src, den_dst = {}, {}, {}, {}
+def reference_transform(table, to_moments):
+    """The key-by-key first-block transform that preceded the positional
+    one, kept as its oracle: every cut word is a dict lookup, keyed by
+    words for a dense table and by kernel classes for a kernel table."""
+    src, dst = ({}, {}) if table.repr == DENSE else (_Words(), _Words())
+    den_src, den_dst = {}, {}
     if to_moments:
         kappa, phi, den_kappa, den_phi, sign = src, dst, den_src, den_dst, 1
     else:
@@ -713,8 +738,8 @@ def reference_dense_transform(table, to_moments):
         layer = table.values[m]
         den_src[m] = scale_into(src, layer)
         terms = [
-            (cut_v, cut_gaps, den_kappa[len(V)] * prod(den_phi[len(g)] for g in gaps))
-            for V, gaps, cut_v, cut_gaps in first_block_shapes(m)
+            (_cut(V), tuple(map(_cut, gaps)), den_kappa[len(V)] * prod(den_phi[len(g)] for g in gaps))
+            for V, gaps in first_block_shapes(m)
         ]
         dstar = lcm(den_src[m], *(d for _, _, d in terms))
         terms = [(cut_v, cut_gaps, sign * (dstar // d)) for cut_v, cut_gaps, d in terms]
@@ -773,10 +798,29 @@ def test_positional_transform_matches_tuple_keyed_reference(shape, shuffled, rng
     ):
         table = cls(n, M, layers)
         got = convert(table)
-        want = reference_dense_transform(table, to_moments)
+        want = reference_transform(table, to_moments)
         for m in range(1, M + 1):
             assert list(got.values[m].items()) == list(want[m].items()), (m, to_moments)
             assert list(got.values[m]) == words(n, m)
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    st.sampled_from([(n, M) for n in range(1, 8) for M in range(0, 7)]),
+    st.randoms(use_true_random=False),
+)
+def test_kernel_transform_matches_class_keyed_reference(shape, rng):
+    n, M = shape
+    layers = {m: [any_value(rng) for _ in kernel_classes(m, n)] for m in range(1, M + 1)}
+    for cls, convert, to_moments in (
+        (MomentTable, cumulants_from_moments, False),
+        (CumulantTable, moments_from_cumulants, True),
+    ):
+        table = cls(n, M, layers, repr=KERNEL)
+        got = convert(table)
+        want = reference_transform(table, to_moments)
+        for m in range(1, M + 1):
+            assert list(got.values[m].items()) == list(want[m].items()), (m, to_moments)
 
 
 def test_shuffled_dense_layers_are_stored_in_product_order():
@@ -1031,7 +1075,7 @@ def test_kernel_transform_of_dense_tables_matches_positional_and_reference(shape
         assert all(table.kernel_layer(m) is not None for m in range(1, M + 1))
         got = json.dumps(convert(table).to_json())
         assert got == json.dumps(out(n, M, positional_transform(table, to_moments)).to_json())
-        assert got == json.dumps(out(n, M, reference_dense_transform(table, to_moments)).to_json())
+        assert got == json.dumps(out(n, M, reference_transform(table, to_moments)).to_json())
         assert got == json.dumps(convert(cls(n, M, layers, repr=KERNEL)).to_dense().to_json())
 
 

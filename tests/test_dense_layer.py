@@ -152,12 +152,14 @@ def test_constructor_errors_keep_their_type_and_message():
 def test_dense_layer_keeps_exactly_the_words_of_its_order():
     t = generate_invariant_model(S_PLUS, 4, 3, seed=1).to_dense()
     layer = t.values[2]
-    for key in [(9, 9), (0, 1), (1, 5), (1, 2, 3), (1,), (), "1,2", 1, (1.0, 2), ("1", "2"), None]:
+    for key in [(9, 9), (0, 1), (1, 5), (1, 2, 3), (1,), (), "1,2", 1, (1.0, 2), ("1", "2"), None, [1, 2]]:
         with pytest.raises(KeyError):
             layer[key] = Fraction(1)
         with pytest.raises(KeyError):
             layer[key]
         assert key not in layer and layer.get(key) is None
+    # as in a dict, where (True, 2) == (1, 2)
+    assert (True, 2) in layer and layer[True, 2] is layer[1, 2] and layer.rank((True, 2)) == 1
     for refuse in (lambda: layer.__delitem__((1, 2)), lambda: layer.pop((1, 2)), layer.clear, layer.popitem):
         with pytest.raises(TypeError):
             refuse()
