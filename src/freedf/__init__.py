@@ -5,8 +5,6 @@ calculus, free moment-cumulant transforms, and de Finetti invariance
 tools, all in exact rational arithmetic.
 """
 
-import importlib
-
 from .categories import (
     B_PLUS,
     H_PLUS,
@@ -17,15 +15,6 @@ from .categories import (
     category_contains,
     enumerate_category,
     parse_category,
-)
-from .cumulants import (
-    CumulantTable,
-    MomentTable,
-    cumulants_from_moments,
-    kappa_pi,
-    moments_from_cumulants,
-    phi_pi,
-    table_from_json,
 )
 from .errors import FreedfError
 from .partitions import (
@@ -42,17 +31,20 @@ from .weingarten import gram, haar_moment, verify_inverse, weingarten, wg_scaled
 
 __version__ = "0.1.0"
 
-# The names of __all__ not imported above are the de Finetti and poset
-# layers. They load on first use (PEP 562), so jobs that never reach them
-# do not compile them.
+# The names of __all__ not imported above are the table, de Finetti and
+# poset layers. They load on first use (PEP 562), so jobs that never reach
+# them do not compile them. The matrix layer is imported here, before the
+# CLI loads click, so its compile peak does not land on click's heap.
 _POSETS = ("FinitePoset", "mobius", "mobius_to_top_full_lattice", "mobius_to_top_nc")
+_TABLES = ("CumulantTable", "MomentTable", "cumulants_from_moments", "kappa_pi", "moments_from_cumulants",
+           "phi_pi", "table_from_json")
 
 
 def __getattr__(name):
     if name not in __all__:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    module = importlib.import_module(".posets" if name in _POSETS else ".definetti", __name__)
-    value = globals()[name] = getattr(module, name)
+    home = "posets" if name in _POSETS else "cumulants" if name in _TABLES else "definetti"
+    value = globals()[name] = getattr(__import__(home, globals(), None, [name], 1), name)
     return value
 
 

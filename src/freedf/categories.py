@@ -10,8 +10,10 @@ builds C(m) for all four; filtering P(m) is its oracle in the tests.
 
 Every sigma <= tau sum between C(m) and the kernel classes reads one
 incidence index per (cat, m, n), built from the kernel classes over
-sigma's blocks, which builds no P(m); c_leq_kernel builds C(m) below one
-partition block by block. leq scans are their oracle in the tests.
+sigma's blocks, which builds no P(m): _incident_sums pushes values on
+C(m) up to the classes, and _forward_substitute inverts that sum on any
+down-set. c_leq_kernel builds C(m) below one partition block by block.
+leq scans are their oracle in the tests.
 """
 
 import enum
@@ -140,6 +142,24 @@ def incidence(cat, m, n):
         for rho in kernel_classes(k, n) if k else [()]:
             got.setdefault(tuple(map(rho.__getitem__, sigma)), []).append(a)
     return got
+
+
+def _incident_sums(nums, cat, m, n):
+    """{tau: sum of nums[a] over C(m)[a] <= tau} over the kernel classes."""
+    below = incidence(cat, m, n)
+    return {tau: sum(map(nums.__getitem__, below.get(tau, ()))) for tau in kernel_classes(m, n)}
+
+
+def _forward_substitute(nums, below, order):
+    """Integers c with nums[a] = sum of c[b] over b in below[a], a among them.
+
+    The positions are taken in order, finest first, so below[a] holds a
+    and positions already solved: Moebius inversion without computing mu.
+    """
+    c = [0] * len(nums)
+    for a in order:
+        c[a] = nums[a] - sum(map(c.__getitem__, below[a]))
+    return c
 
 
 def c_leq(cat, i):

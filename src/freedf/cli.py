@@ -18,10 +18,13 @@ asymptotics not DECAY), after the output is written; 2 usage or
 computation errors, an unwritable --output included (the latter with a
 machine-readable JSON object on stderr).
 
-The eight commands that call the de Finetti layer import it as the first
-statement of their bodies, so the other commands never compile it.
-Compiling it any later, once the inputs are read, raises the job's peak
-memory.
+Each job compiles only the layers its command calls. `import freedf`
+compiles the matrix layer (weingarten, categories, partitions,
+rationals, errors) before click is loaded here: a module compiled after
+click adds its compile peak to click's heap, so to the job's peak
+memory. A command imports the table layer (cumulants) and its de Finetti
+family (definetti.py maps them) as the first statement of its body,
+before any input is read, and reads each function there, at call time.
 """
 
 import functools
@@ -33,14 +36,6 @@ import sys
 import click
 
 from .categories import enumerate_category, parse_category
-from .cumulants import (
-    cumulants_from_moments,
-    moments_from_cumulants,
-    parse_count,
-    parse_layers,
-    parse_rgs_key,
-    table_from_text,
-)
 from .errors import FreedfError, SchemaError
 from .partitions import (
     enumerate_partitions,
@@ -49,7 +44,7 @@ from .partitions import (
     parse_index_tuple,
     parse_partition,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_count, parse_layers, parse_rational, parse_rgs_key
 from .weingarten import gram, haar_moment, matrix_json, weingarten
 
 
@@ -139,6 +134,7 @@ def _load_json(path):
 
 
 def _load_table(path, kind, usage):
+    from .cumulants import table_from_text
     with open(path, "r", encoding="utf-8") as fh:
         table = table_from_text(fh.read())
     if table.kind != kind:
@@ -258,6 +254,7 @@ def haar_cmd(category_text, n, i_text, j_text):
 @_emits()
 def transform_cmd(target, input_path):
     """Free moment-cumulant transform, either direction."""
+    from .cumulants import cumulants_from_moments, moments_from_cumulants
     want = "cumulants" if target == "moments" else "moments"
     table = _load_table(input_path, want, "transform --to " + target)
     return (moments_from_cumulants if target == "moments" else cumulants_from_moments)(table).to_json()
@@ -271,13 +268,13 @@ def transform_cmd(target, input_path):
 @_emits(text=_check_text, failed=lambda doc: doc["verdict"] != "PASS")
 def check_cmd(category_text, input_path, mode, tolerance):
     """Certify G_n-invariance. Exit 0 on PASS, 1 on FAIL."""
-    from . import definetti
+    from .definetti import check_invariance
     if mode == "rational" and tolerance is not None:
         raise SchemaError("rational mode never consults a tolerance; drop --tolerance")
     cat = parse_category(category_text)
     table = _load_table(input_path, "moments", "check")
     tol = parse_rational(tolerance if tolerance is not None else 1e-9) if mode == "float" else None
-    return definetti.check_invariance(table, cat, tolerance=tol).to_json()
+    return check_invariance(table, cat, tolerance=tol).to_json()
 
 
 @main.command("solve")
@@ -289,11 +286,11 @@ def check_cmd(category_text, input_path, mode, tolerance):
 @_emits()
 def solve_cmd(category_text, which, m, input_path, no_fallback):
     """Extract c_pi (from moments) or C_pi (from cumulants) at order m."""
-    from . import definetti
+    from .definetti import solve_moment_coefficients
     cat = parse_category(category_text)
     want = "moments" if which == "c" else "cumulants"
     table = _load_table(input_path, want, "solve --which " + which)
-    sl = definetti.solve_moment_coefficients(table, cat, m, fallback=not no_fallback)
+    sl = solve_moment_coefficients(table, cat, m, fallback=not no_fallback)
     return {
         "category": cat.value,
         "m": m,
@@ -309,10 +306,10 @@ def solve_cmd(category_text, which, m, input_path, no_fallback):
 @_emits()
 def convert_cmd(direction, input_path):
     """Convert between the c_pi and C_pi coefficient families."""
-    from . import definetti
+    from .definetti import C_from_c, c_from_C
     source, target = direction.split("-to-")
     cat, M, family = parse_family(_load_json(input_path), kinds=(source,))
-    convert = definetti.C_from_c if source == "c" else definetti.c_from_C
+    convert = C_from_c if source == "c" else c_from_C
     return family_json(cat, target, {m: convert(family, cat, m) for m in range(1, M + 1)})
 
 
@@ -324,8 +321,8 @@ def convert_cmd(direction, input_path):
 @_emits()
 def generate_cmd(category_text, n, max_order, seed):
     """A seeded G_n-invariant moment table (kernel representation)."""
-    from . import definetti
-    return definetti.generate_invariant_model(parse_category(category_text), n, max_order, seed).to_json()
+    from .definetti import generate_invariant_model
+    return generate_invariant_model(parse_category(category_text), n, max_order, seed).to_json()
 
 
 @main.command("semicircular")
@@ -334,8 +331,8 @@ def generate_cmd(category_text, n, max_order, seed):
 @_emits()
 def semicircular_cmd(n, max_order):
     """The standard semicircular family as a kernel moment table."""
-    from . import definetti
-    return definetti.semicircular_model(n, max_order).to_json()
+    from .definetti import semicircular_model
+    return semicircular_model(n, max_order).to_json()
 
 
 @main.command("reconstruct")
@@ -345,10 +342,10 @@ def semicircular_cmd(n, max_order):
 @_emits(text=_value_text)
 def reconstruct_cmd(category_text, input_path, i_text):
     """Moment of the infinite invariant sequence at an index tuple."""
-    from . import definetti
+    from .definetti import reconstruct_infinite
     cat = parse_category(category_text)
     _, _, family = parse_family(_load_json(input_path), kinds=("phi",))
-    v = definetti.reconstruct_infinite(family, cat, parse_index_tuple(i_text))
+    v = reconstruct_infinite(family, cat, parse_index_tuple(i_text))
     return {"category": cat.value, "i": i_text, "value": format_rational(v)}
 
 
@@ -360,10 +357,10 @@ def reconstruct_cmd(category_text, input_path, i_text):
 @_emits(failed=lambda doc: doc["verdict"] != "DECAY")
 def asymptotics_cmd(category_text, m, tolerance, input_paths):
     """Probe decay of the asymptotic-freeness classes across tables."""
-    from . import definetti
+    from .definetti import asymptotic_freeness_probe
     cat = parse_category(category_text)
     models = [_load_table(p, "moments", "asymptotics") for p in input_paths]
-    return definetti.asymptotic_freeness_probe(models, cat, m, tolerance=parse_rational(tolerance)).to_json()
+    return asymptotic_freeness_probe(models, cat, m, tolerance=parse_rational(tolerance)).to_json()
 
 
 @main.command("block-sum")
@@ -372,10 +369,10 @@ def asymptotics_cmd(category_text, m, tolerance, input_paths):
 @_emits(text=_value_text)
 def block_sum_cmd(input_path, p_text):
     """Normalized block sum (1/n^k) sum_{ker >= p} of the moments."""
-    from . import definetti
+    from .definetti import normalized_block_sum
     table = _load_table(input_path, "moments", "block-sum")
     p = parse_partition(p_text)
-    return {"p": str(p), "n": table.n, "value": format_rational(definetti.normalized_block_sum(table, p))}
+    return {"p": str(p), "n": table.n, "value": format_rational(normalized_block_sum(table, p))}
 
 
 if __name__ == "__main__":

@@ -19,14 +19,15 @@ Every dense layer of a Table is a DenseLayer: the list of its values in
 itertools.product order, the order to_json writes, behind a mapping
 keyed by words, a word's position its dot product with the place
 weights. A dense layer depends on words only through their kernels iff
-it is S_n-invariant, which Table.kernel_layer tests by position; a table
-whose every layer passes is transformed on its kernel classes, any other
-by the rank of each cut word, at most 2^(M-1)*n^M <= DENSE_GUARD steps.
-read_order hands Table every layer as the list of its values in the
-order to_json writes the keys, from pieces of the layer: a whole order
-object, or the bounded slices table_from_text decodes one at a time.
-Pieces of exactly the expected texts are read as they stand, any other
-key by its position, so no layer is held as a dict of its entries.
+it is S_n-invariant, which Table.kernel_layer tests by position. A table
+whose every layer passes, none above the kernel classes' cap of order 10,
+is transformed on its kernel classes, any other by the rank of each cut
+word, at most 2^(M-1)*n^M <= DENSE_GUARD steps.
+read_order (rationals.py) hands Table every layer as the list of its
+values in the order to_json writes the keys, from pieces of the layer:
+a whole order object, or the bounded slices table_from_text decodes
+one at a time. Pieces of the expected texts are read as they stand,
+any other key by its position: no layer is held as a dict of entries.
 """
 
 import itertools
@@ -36,30 +37,21 @@ from collections.abc import ItemsView, MutableMapping, ValuesView
 from fractions import Fraction
 from functools import cache, partial
 from math import lcm, prod
-from operator import add, attrgetter, eq, is_, itemgetter, mul
+from operator import add, itemgetter, mul
 
-from .errors import (
-    IncompleteTable,
-    NotKernelRepresentable,
-    OrderExceeded,
-    SchemaError,
-    SizeMismatch,
-    TableTooLarge,
-)
+from .errors import IncompleteTable, NotKernelRepresentable, OrderExceeded, SchemaError, SizeMismatch, TableTooLarge
 from .partitions import (
+    DEFAULT_CAP,
     Partition,
     check_indices,
     kernel,
     kernel_classes,
     num_blocks,
     parse_index_tuple,
-    parse_partition,
     relabel,
     render_index_tuple,
 )
-from .rationals import rational_reader, rational_writer, read_rationals
-
-DENSE_GUARD = 10 ** 7
+from .rationals import DENSE_GUARD, parse_count, parse_layers, parse_rgs_key, rational_writer, read_order, to_integers
 
 DENSE = "dense"
 KERNEL = "kernel"
@@ -82,17 +74,29 @@ def place_weights(n, m):
 @cache
 def tuple_kernels(m, n):
     """[ker(i) for i in [n]^m] in product order, built once per (m, n), of
-    kernel_classes(m, n) objects. A word of class tau labels its blocks
-    injectively; its rank is the labels' dot product with the block weights."""
+    kernel_classes(m, n) objects."""
     got = [None] * n ** m
     for tau in kernel_classes(m, n):
-        weights = [0] * num_blocks(tau)
-        for block, weight in zip(tau, place_weights(n, m)):
-            weights[block] += weight
-        labellings = itertools.permutations(range(n), len(weights))
-        for rank in map(sum, map(map, itertools.repeat(mul), labellings, itertools.repeat(weights))):
+        for rank in _class_ranks(tau, n):
             got[rank] = tau
     return got
+
+
+@cache
+def class_ranks(m, n):
+    """[the product-order ranks of the words of tau] for each tau in
+    kernel_classes(m, n), built once per (m, n)."""
+    return [list(_class_ranks(tau, n)) for tau in kernel_classes(m, n)]
+
+
+def _class_ranks(tau, n):
+    """The ranks of the words of class tau: a word labels the blocks
+    injectively, and its rank is the labels' dot product with the block weights."""
+    weights = [0] * num_blocks(tau)
+    for block, weight in zip(tau, place_weights(n, len(tau))):
+        weights[block] += weight
+    labellings = itertools.permutations(range(n), len(weights))
+    return map(sum, map(map, itertools.repeat(mul), labellings, itertools.repeat(weights)))
 
 
 def product_texts(n, m):
@@ -209,11 +213,14 @@ class Table:
 
     def kernel_layer(self, m):
         """{tau: value} of order m, or None for a dense order not invariant
-        under the generators (1 2) and (1 2 ... n) of S_n. A class's value
-        is read at its first word in product order, its representative."""
+        under the generators (1 2) and (1 2 ... n) of S_n, or above the
+        kernel classes' cap. A class's value is read at its first word in
+        product order, its representative."""
         if self.repr == KERNEL:
             return self.values[m]
         n, layer = self.n, self.values[m]
+        if m > DEFAULT_CAP:
+            return None
         for label in ([1, 0, *range(2, n)], [*range(1, n), 0]) if n > 1 else ():
             if list(map(layer.vals.__getitem__, _ranks(range(m), n, m, label))) != layer.vals:
                 return None
@@ -279,92 +286,6 @@ class CumulantTable(Table):
 def representative_tuple(tau):
     """The smallest-lex tuple over [#tau] with kernel tau (1-based)."""
     return tuple(lab + 1 for lab in tau)
-
-
-def parse_count(doc, field, least):
-    """doc[field] as an integer >= least (0 or 1); booleans are refused."""
-    v = doc[field]
-    if isinstance(v, bool) or not isinstance(v, int) or v < least:
-        kind = "positive" if least else "non-negative"
-        raise SchemaError("field %r must be a %s integer, got %r" % (field, kind, v))
-    return v
-
-
-def parse_rgs_key(text, m):
-    """A partition key of order m, written as its canonical RGS."""
-    key = parse_partition(text)
-    if key.size != m:
-        raise SchemaError("partition %r under order %d has size %d" % (text, m, key.size))
-    if str(key) != text.replace(" ", ""):
-        raise SchemaError("partition key %r is not canonical" % text)
-    return key
-
-
-def parse_layers(raw, max_order, parse_key, expected, texts=None, places=None):
-    """{m: [Fraction, ...]} for exactly the orders m = 1..max_order of
-    {"m": {text: value}}, each read by read_order as one piece."""
-    if not isinstance(raw, dict):
-        raise SchemaError("field 'values' must be an object keyed by order")
-    out = {}
-    for m in range(1, max_order + 1):
-        layer_doc = raw.get(str(m))
-        if layer_doc is None:
-            raise IncompleteTable("values for order %d are missing" % m, missing=[str(m)])
-        if not isinstance(layer_doc, dict):
-            raise SchemaError("values for order %d must be an object keyed by entry" % m)
-        out[m] = read_order([layer_doc], m, parse_key, expected, texts, places)
-    stray = [text for text in raw if text not in map(str, range(1, max_order + 1))]
-    if stray:
-        raise SchemaError("values carries an unexpected order %r" % (stray[0],))
-    return out
-
-
-def read_order(pieces, m, parse_key, expected, texts=None, places=None):
-    """The values of order m, in the order expected(m) lists its keys, from
-    its entries given as consecutive {text: value} pieces, each key once.
-
-    Pieces of the next texts(m) (by default str of each key) are read as
-    they stand. From the first other piece on, each key is parsed by
-    parse_key(text, m) and its value put at place(key): (place, size) =
-    places(m), else each key's index in expected(m) and their number; None
-    is a stray key. Errors come in document order (a parse, a repeat, a
-    bad value), then the missing keys, then the smallest stray key.
-    """
-    texts = texts or (lambda m: map(str, expected(m)))
-    want, memo, vals, pieces = iter(texts(m)), {}, [], iter(pieces)
-    for piece in pieces:
-        if sum(map(eq, piece, itertools.islice(want, len(piece)))) != len(piece):
-            break
-        vals += read_rationals(piece.values(), memo)
-    else:
-        if next(want, None) is None:
-            return vals
-        piece = {}
-    if places:
-        place, size = places(m)
-    else:
-        index = {key: at for at, key in enumerate(expected(m))}
-        place, size = index.get, len(index)
-    vals += [None] * (size - len(vals))
-    read, stray = rational_reader(memo), {}
-    for text, val in itertools.chain.from_iterable(map(dict.items, itertools.chain([piece], pieces))):
-        key = parse_key(text, m)
-        at = place(key)
-        if key in stray if at is None else vals[at] is not None:
-            raise SchemaError("order %d repeats the key %s as %r" % (m, render_index_tuple(key), text))
-        if at is None:
-            stray[key] = read(val)
-        else:
-            vals[at] = read(val)
-    gaps = list(map(is_, vals, itertools.repeat(None)))
-    if any(gaps):
-        shown = list(itertools.islice(itertools.compress(texts(m), gaps), 8))
-        raise IncompleteTable(
-            "order %d is missing %d entries, e.g. %s" % (m, sum(gaps), ", ".join(shown)), missing=shown
-        )
-    if stray:
-        raise SchemaError("order %d carries an unexpected key %r" % (m, render_index_tuple(min(stray))))
-    return vals
 
 
 def _table_header(doc):
@@ -553,30 +474,6 @@ def moments_from_cumulants(ct):
 def cumulants_from_moments(mt):
     """Inversion of the moment-cumulant formula, order by order."""
     return CumulantTable(mt.n, mt.max_order, _transform(mt, to_moments=False), repr=mt.repr)
-
-
-def to_integers(values):
-    """(D, ints): the values, in order, as integers over their least common
-    denominator D. Each distinct value object is scaled once: a layer read
-    from JSON, or spread from kernel classes, shares one Fraction among
-    many keys, and the ids map the objects back only when one is shared.
-    """
-    ids = list(map(id, values))
-    distinct = dict(zip(ids, values))
-    objs = distinct.values()
-    dens = list(map(attrgetter("denominator"), objs))
-    D = lcm(*set(dens))
-    scaled = list(map(mul, map(attrgetter("numerator"), objs), map(D.__floordiv__, dens)))
-    if len(distinct) < len(ids):
-        scaled = list(map(dict(zip(distinct, scaled)).__getitem__, ids))
-    return D, scaled
-
-
-def scale_into(nums, layer):
-    """Store a mapping's values in nums, by key, as to_integers; return D."""
-    D, scaled = to_integers(layer.values())
-    nums.update(zip(layer, scaled))
-    return D
 
 
 def _ranks(positions, n, m, label=None):

@@ -74,9 +74,8 @@ from math import gcd, isqrt, perm, prod
 
 from .errors import FreedfError, NotInPoset, SchemaError, SingularGram, SizeMismatch, TableTooLarge, UncertifiedInverse
 from .categories import enumerate_category, incidence
-from .cumulants import DENSE_GUARD, scale_into
 from .partitions import Partition, check_indices, num_blocks, parse_partition, relabel
-from .rationals import rational_reader, rational_writer
+from .rationals import DENSE_GUARD, rational_reader, rational_writer, scale_into
 
 CACHE_ENV = "FREEDF_CACHE_DIR"
 

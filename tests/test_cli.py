@@ -564,6 +564,17 @@ def test_dense_transform_past_the_step_bound_exits_2(tmp_path):
     assert json.loads(result.stderr)["error"] == "table-too-large"
 
 
+def test_invariant_dense_table_above_the_kernel_cap_round_trips(tmp_path):
+    # S_2-invariant at every order, but order 11 has no kernel classes to
+    # transform on, so the table goes by position, in 2^10 * 2^11 steps
+    source = tmp_path / "ones.json"
+    source.write_text(json.dumps(MomentTable(2, 11, {m: [Fraction(1)] * 2 ** m for m in range(1, 12)}).to_json(), indent=2) + "\n")
+    kappa, back = tmp_path / "kappa.json", tmp_path / "back.json"
+    run_checked(["transform", "--to", "cumulants", "--input", str(source), "--output", str(kappa)])
+    run_checked(["transform", "--to", "moments", "--input", str(kappa), "--output", str(back)])
+    assert back.read_bytes() == source.read_bytes()
+
+
 def test_negative_n_exits_2_with_a_schema_error():
     for cmd in ("gram", "weingarten"):
         result = run([cmd, "--category", "o+", "--m", "2", "--n", "-1"])

@@ -29,7 +29,6 @@ from freedf.cumulants import (
     parse_rgs_key,
     phi_pi,
     representative_tuple,
-    scale_into,
     table_from_json,
     table_from_text,
     tuple_kernels,
@@ -63,7 +62,7 @@ from freedf.partitions import (
     singletons,
 )
 from freedf import cumulants as cumulants_module
-from freedf.rationals import parse_rational
+from freedf.rationals import parse_rational, scale_into
 from freedf.weingarten import haar_moment
 
 rationals = importlib.import_module("freedf.rationals")
@@ -203,6 +202,17 @@ def test_dense_transform_by_position_is_bounded(monkeypatch):
     monkeypatch.setattr(cumulants_module, "DENSE_GUARD", 127)
     with pytest.raises(TableTooLarge):
         cumulants_from_moments(small)
+
+
+def test_invariant_dense_table_above_the_kernel_cap_is_transformed_by_position():
+    # the moments of the constant 1: only kappa_1 is nonzero. At M=11 the
+    # table is S_2-invariant, but kernel_classes stops at order 10
+    M = 11
+    ones = MomentTable(2, M, {m: [Fraction(1)] * 2 ** m for m in range(1, M + 1)})
+    kappa = cumulants_from_moments(ones)
+    assert list(kappa.values[1].values()) == [1, 1]
+    assert all(set(kappa.values[m].values()) == {0} for m in range(2, M + 1))
+    assert moments_from_cumulants(kappa).values == ones.values
 
 
 def test_kernel_table_and_views():

@@ -8,7 +8,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from freedf import definetti as definetti_module
+from freedf import categories as categories_module, certify as certify_module
 
 from freedf.categories import B_PLUS, H_PLUS, O_PLUS, S_PLUS, enumerate_category, incidence
 from freedf.cumulants import (
@@ -528,7 +528,7 @@ def test_reconstruct_reads_only_the_down_set(monkeypatch):
     def refuse(*args):
         raise AssertionError("incidence index requested for %s" % (args,))
 
-    monkeypatch.setattr(definetti_module, "incidence", refuse)
+    monkeypatch.setattr(categories_module, "incidence", refuse)
     basis = enumerate_category(S_PLUS, 10)
     phi = {10: {p: Fraction(a % 11 - 5, a % 7 + 1) for a, p in enumerate(basis)}}
     assert reconstruct_infinite(phi, S_PLUS, range(1, 11)) == phi[10][singletons(10)]
@@ -610,7 +610,7 @@ def test_probe_injected_decay():
 def test_decay_is_a_trend_over_the_given_tables():
     # what the README says DECAY tests: every deviation within tolerance, or
     # deviations that never increase in n and end below the first, at any rate
-    from freedf.definetti import _decay_verdict
+    from freedf.probes import _decay_verdict
 
     tol, half, near = Fraction(1, 10 ** 9), Fraction(1, 2), Fraction(49, 100)
     assert _decay_verdict([(4, half), (8, near)], 0, tol) == "DECAY"
@@ -819,12 +819,12 @@ def test_passing_orders_need_no_weingarten(monkeypatch):
     def refuse(cat, m, n):
         raise AssertionError("Weingarten matrix requested at %s m=%d n=%d" % (cat, m, n))
 
-    monkeypatch.setattr(definetti_module, "weingarten", refuse)
+    monkeypatch.setattr(certify_module, "weingarten", refuse)
     assert check_invariance(mt, S_PLUS).passed
     assert check_invariance(dense, O_PLUS).passed
     # a failing order m <= n is averaged (for its witnesses); lower orders are not
     requested = []
-    monkeypatch.setattr(definetti_module, "weingarten", lambda cat, m, n: requested.append(m) or weingarten(cat, m, n))
+    monkeypatch.setattr(certify_module, "weingarten", lambda cat, m, n: requested.append(m) or weingarten(cat, m, n))
     dense.values[4][(1, 1, 2, 2)] += 1
     report = check_invariance(dense, O_PLUS)
     assert not report.passed and requested == [4]

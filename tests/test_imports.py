@@ -1,9 +1,10 @@
 """The import graph: jobs load only the layers they run.
 
-Each case starts a fresh interpreter. Commands that never call the de
-Finetti layer must not compile definetti.py or posets.py, and the package
-keeps every public name: freedf.weingarten stays the function, whatever
-was imported first.
+Each case starts a fresh interpreter. Every job loads exactly the layers
+its command calls: matrix and partition jobs no table, de Finetti or poset
+module, transform no de Finetti module, and each de Finetti job only its
+own family (certify, families or probes). The package keeps every public
+name: freedf.weingarten stays the function, whatever was imported first.
 """
 
 import json
@@ -13,10 +14,14 @@ import sys
 
 import pytest
 
-from freedf.definetti import semicircular_model
+from freedf.categories import S_PLUS, enumerate_category
+from freedf.cli import family_json
+from freedf.definetti import seed_coefficients, semicircular_model
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-LAZY = ("freedf.definetti", "freedf.posets")
+LAZY = ("freedf.definetti", "freedf.certify", "freedf.families", "freedf.probes", "freedf.posets")
+# what `import freedf` loads: the matrix layer, before the CLI loads click
+MATRIX = {"freedf", "freedf.errors", "freedf.partitions", "freedf.categories", "freedf.rationals", "freedf.weingarten"}
 
 
 def python(*args):
@@ -38,6 +43,46 @@ def kernel_table(tmp_path_factory):
     path = tmp_path_factory.mktemp("imports") / "semicircular.json"
     path.write_text(json.dumps(semicircular_model(3, 4).to_json()))
     return path
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory, kernel_table):
+    """One input file per kind a job reads, by its @name in the job's arguments."""
+    folder = tmp_path_factory.mktemp("families")
+    docs = {
+        "c": family_json(S_PLUS, "c", seed_coefficients(S_PLUS, 3, 3, seed=1)),
+        "phi": family_json(S_PLUS, "phi", {m: dict.fromkeys(enumerate_category(S_PLUS, m), 1) for m in (1, 2, 3)}),
+        "sc4": semicircular_model(4, 2).to_json(),
+    }
+    for name, doc in docs.items():
+        (folder / (name + ".json")).write_text(json.dumps(doc))
+    return dict({"@" + name: folder / (name + ".json") for name in docs}, **{"@table": kernel_table})
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (("weingarten", "--category", "s+", "--m", 4, "--n", 3), {"rotation"}),
+        (("gram", "--category", "o+", "--m", 4, "--n", 2), {"rotation"}),
+        (("haar", "--category", "s+", "--n", 3, "--i", "1,2,2,1", "--j", "1,1,2,2"), {"rotation"}),
+        (("partitions", "--m", 4, "--category", "b+"), set()),
+        (("transform", "--to", "cumulants", "--input", "@table"), {"cumulants"}),
+        (("check", "--category", "s+", "--input", "@table"), {"cumulants", "definetti", "certify", "rotation"}),
+        (("solve", "--category", "s+", "--which", "c", "--m", 3, "--input", "@table"), {"cumulants", "definetti", "certify"}),
+        (("generate", "--category", "s+", "--n", 4, "--max-order", 3, "--seed", 1), {"cumulants", "definetti", "families"}),
+        (("convert", "--direction", "c-to-C", "--input", "@c"), {"definetti", "families"}),
+        (("reconstruct", "--category", "s+", "--input", "@phi", "--i", "1,2,1"), {"definetti", "families"}),
+        (("semicircular", "--n", 2, "--max-order", 2), {"cumulants", "definetti", "probes"}),
+        (("block-sum", "--input", "@table", "--p", "0,0"), {"cumulants", "definetti", "probes"}),
+        (
+            ("asymptotics", "--category", "o+", "--m", 2, "--inputs", "@table", "--inputs", "@sc4"),
+            {"cumulants", "definetti", "probes", "certify"},
+        ),
+    ],
+)
+def test_each_job_loads_exactly_its_layers(argv, layers, inputs):
+    loaded = cli_imports(*(inputs.get(arg, arg) for arg in argv))
+    assert loaded == MATRIX | {"freedf." + name for name in layers}, sorted(loaded)
 
 
 @pytest.mark.parametrize(
@@ -70,6 +115,8 @@ def test_de_finetti_jobs_load_it(kernel_table):
     [
         "import freedf.cli",
         "import freedf.weingarten",
+        "import freedf.cumulants",
+        "from freedf.definetti import check_invariance, semicircular_model",
         "import freedf; freedf.check_invariance, freedf.FinitePoset",
         "from freedf import definetti, posets",
         "from freedf.cli import main",
@@ -92,7 +139,7 @@ def test_weingarten_stays_the_function(first):
 def test_every_public_name_resolves_in_a_fresh_interpreter(resolve):
     code = """
 import freedf, sys
-lazy = [m for m in ("freedf.definetti", "freedf.posets") if m in sys.modules]
+lazy = [m for m in %r if m in sys.modules]
 %s
 from freedf import definetti, posets
 same = freedf.check_invariance is definetti.check_invariance and freedf.FinitePoset is posets.FinitePoset
@@ -102,7 +149,7 @@ try:
 except AttributeError:
     missing = True
 print(lazy, ok, same, missing)
-""" % resolve
+""" % (LAZY + ("freedf.cumulants",), resolve)
     got = python("-c", code)
     assert got.returncode == 0, got.stderr
     assert got.stdout.split() == ["[]", "True", "True", "True"], got.stdout

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from freedf import definetti
+from freedf import certify, definetti
 from freedf.categories import B_PLUS, H_PLUS, O_PLUS, S_PLUS, enumerate_category, incidence
 from freedf.cumulants import KERNEL, MomentTable, kernel_classes
 from freedf.definetti import reconstruct_infinite, solve_moment_coefficients
@@ -145,10 +145,10 @@ def test_solve_guard_fires_before_the_index(monkeypatch):
     mt = definetti.generate_invariant_model(O_PLUS, 4, 6, seed=3)
     incidence.cache_clear()
     # 187 classes x 5 pairings = 935 entries
-    monkeypatch.setattr(definetti, "DENSE_GUARD", 934)
+    monkeypatch.setattr(certify, "DENSE_GUARD", 934)
     with pytest.raises(TableTooLarge):
         solve_moment_coefficients(mt, O_PLUS, 6)
     assert incidence.cache_info().currsize == 0
-    monkeypatch.setattr(definetti, "DENSE_GUARD", 935)
+    monkeypatch.setattr(certify, "DENSE_GUARD", 935)
     sl = solve_moment_coefficients(mt, O_PLUS, 6)
     assert set(sl.values) == set(enumerate_category(O_PLUS, 6))
