@@ -33,8 +33,7 @@ __version__ = "0.1.0"
 
 # The names of __all__ not imported above are the table, de Finetti and
 # poset layers. They load on first use (PEP 562), so jobs that never reach
-# them do not compile them. The matrix layer is imported here, before the
-# CLI loads click, so its compile peak does not land on click's heap.
+# them do not compile them.
 _POSETS = ("FinitePoset", "mobius", "mobius_to_top_full_lattice", "mobius_to_top_nc")
 _TABLES = ("CumulantTable", "MomentTable", "cumulants_from_moments", "kappa_pi", "moments_from_cumulants",
            "phi_pi", "table_from_json")

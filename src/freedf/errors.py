@@ -116,3 +116,13 @@ class IncompleteRestriction(_Incomplete):
 
 class TableTooLarge(FreedfError):
     code = "table-too-large"
+
+
+# These two are ValueErrors as well: each rejects an argument outside the
+# function's domain, which callers of the library catch as ValueError.
+class BelowFloor(FreedfError, ValueError):
+    code = "n-below-floor"
+
+
+class NotNCPairing(FreedfError, ValueError):
+    code = "not-nc-pairing"

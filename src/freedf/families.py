@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from .categories import O_PLUS, _forward_substitute, _incident_sums, c_leq_kernel, category_contains, enumerate_category
-from .errors import IncompleteRestriction, MissingLowerOrder
+from .errors import BelowFloor, IncompleteRestriction, MissingLowerOrder
 from .partitions import check_indices, num_blocks, relabel
 from .rationals import to_integers
 
@@ -134,7 +134,7 @@ def generate_invariant_model(cat, n, M, seed):
     from .cumulants import KERNEL, CumulantTable, moments_from_cumulants
     floor = 2 if cat is O_PLUS else 4
     if n < floor:
-        raise ValueError("invariance machinery for %s needs n >= %d, got n=%d" % (cat, floor, n))
+        raise BelowFloor("invariance machinery for %s needs n >= %d, got n=%d" % (cat, floor, n))
     layers = {}
     for m, sl in seed_coefficients(cat, n, M, seed).items():
         L, nums = to_integers(sl.values())

@@ -8,7 +8,7 @@ from math import perm
 
 from .categories import O_PLUS, S_PLUS, category_contains, enumerate_category, incidence
 from .cumulants import KERNEL, MomentTable, cumulants_from_moments
-from .errors import FreedfError, NotInvariant
+from .errors import FreedfError, NotInvariant, NotNCPairing
 from .partitions import Partition, kernel_classes, num_blocks
 from .rationals import format_rational
 
@@ -29,7 +29,7 @@ def normalized_block_sum(mt, p):
     """(1/n^k) sum over tuples with kernel above p of their moments."""
     p = Partition(p)
     if p.size % 2 == 1 or not category_contains(O_PLUS, p):
-        raise ValueError("p must be a non-crossing pairing, got %s" % (p,))
+        raise NotNCPairing("p must be a non-crossing pairing, got %s" % (p,))
     k = p.size // 2
     n = mt.n
     view = mt.kernel_view(p.size)

@@ -255,19 +255,16 @@ def test_criterion_7_reconstruction():
 
 
 def cli_fixture_run(tmp_path):
-    from click.testing import CliRunner
-
-    from freedf.cli import main
+    from clirunner import invoke
 
     tmp_path.mkdir(parents=True, exist_ok=True)
-    runner = CliRunner()
     sc = tmp_path / "sc.json"
     gen = tmp_path / "gen.json"
     cum = tmp_path / "cum.json"
     transcript = []
 
     def go(args, expect=0):
-        result = runner.invoke(main, [str(a) for a in args])
+        result = invoke([str(a) for a in args])
         assert result.exit_code == expect, (args, result.output, result.exception)
         transcript.append(result.output)
 

@@ -2,16 +2,11 @@ import importlib
 import json
 
 import pytest
-from click.testing import CliRunner
+from clirunner import invoke as run
 from fractions import Fraction
 
-from freedf.cli import main
 from freedf.cumulants import MomentTable, table_from_json
 from freedf.definetti import semicircular_model
-
-
-def run(args, **kwargs):
-    return CliRunner().invoke(main, args, **kwargs)
 
 
 def run_checked(args):
@@ -164,6 +159,26 @@ def test_models_refuse_a_negative_max_order(args):
     err = json.loads(result.stderr)
     assert err["error"] == "schema-error"
     assert err["message"] == "field 'max_order' must be a non-negative integer, got -1"
+
+
+@pytest.mark.parametrize("category,floor", [("o+", 2), ("s+", 4)])
+def test_generate_below_the_floor_is_a_typed_error(category, floor):
+    # it was an untyped ValueError, reported as {"error": "error", ...}
+    result = run(["generate", "--category", category, "--n", str(floor - 1), "--max-order", "2", "--seed", "1"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    want = "invariance machinery for %s needs n >= %d, got n=%d" % (category, floor, floor - 1)
+    assert json.loads(result.stderr) == {"error": "n-below-floor", "message": want}
+
+
+@pytest.mark.parametrize("p", ["0,1", "0,0,0", "0,1,0,1"])
+def test_block_sum_of_a_non_pairing_is_a_typed_error(tmp_path, p):
+    # it was an untyped ValueError, reported as {"error": "error", ...}
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(semicircular_model(3, 4).to_json()))
+    result = run(["block-sum", "--input", str(path), "--p", p])
+    assert (result.exit_code, result.stdout) == (2, "")
+    want = "p must be a non-crossing pairing, got %s" % p
+    assert json.loads(result.stderr) == {"error": "not-nc-pairing", "message": want}
 
 
 def test_missing_file_exits_2():

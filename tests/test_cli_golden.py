@@ -6,20 +6,29 @@ byte, or the stderr of the one error case, fails here. The --help text
 of the group and of every subcommand is frozen the same way, so option
 order and help strings cannot move either. Every case that exits 0 or
 1 is also run with --output, into a file and into a missing directory.
+Usage errors are frozen from `python -m freedf.cli` in a fresh
+interpreter, and three cases run with a wrapped callback, as the
+benchmark's tracing shim runs them.
 """
 
+import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
+from clirunner import invoke
 
 from freedf.categories import O_PLUS, S_PLUS, enumerate_category
 from freedf.cli import family_json, main
 from freedf.cumulants import cumulants_from_moments
 from freedf.definetti import generate_invariant_model, seed_coefficients, semicircular_model
 from freedf.partitions import one_block
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _write_inputs(d):
@@ -124,7 +133,7 @@ def inputs(tmp_path_factory):
 
 
 def run_case(args, d):
-    result = CliRunner().invoke(main, args.format(d=d).split())
+    result = invoke(args.format(d=d).split())
     digest = hashlib.sha256(result.stdout_bytes + b"\0" + result.stderr_bytes).hexdigest()
     return result.exit_code, digest
 
@@ -146,9 +155,9 @@ _WRITING = [c for c in CASES if c[2] < 2]
 def test_output_file_holds_the_stdout_bytes(inputs, tmp_path, monkeypatch, args, code):
     monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)
     argv = args.format(d=inputs).split()
-    printed = CliRunner().invoke(main, argv)
+    printed = invoke(argv)
     out = tmp_path / "out"
-    written = CliRunner().invoke(main, argv + ["--output", str(out)])
+    written = invoke(argv + ["--output", str(out)])
     assert printed.exit_code == code
     assert (written.exit_code, written.stdout_bytes, written.stderr_bytes) == (code, b"", b"")
     assert out.read_bytes() == printed.stdout_bytes
@@ -159,9 +168,35 @@ def test_unwritable_output_exits_2(inputs, tmp_path, monkeypatch, args):
     # a FAIL check exits 2 here, not 1: nothing was written
     monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)
     out = str(tmp_path / "missing" / "out")
-    result = CliRunner().invoke(main, args.format(d=inputs).split() + ["--output", out])
+    result = invoke(args.format(d=inputs).split() + ["--output", out])
     assert result.exit_code == 2 and result.stdout_bytes == b""
     assert json.loads(result.stderr) == {"error": "error", "message": "[Errno 2] No such file or directory: %r" % out}
+
+
+# a success, a FAIL verdict and an error: each ends in its own exit code
+@pytest.mark.parametrize("case", ["partitions-s+", "check-fail", "weingarten-singular"])
+def test_a_wrapped_callback_runs_as_the_benchmark_shim_runs_it(inputs, monkeypatch, capsysbinary, case):
+    # perfbench/shim.py replaces each command's callback with a timing
+    # wrapper, then runs main(args=..., prog_name="freedf") and lets its
+    # SystemExit end the job
+    monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)
+    args, code = next(c[1:3] for c in CASES if c[0] == case)
+    argv = args.format(d=inputs).split()
+    plain = invoke(argv)
+    command, calls = main.commands[argv[0]], []
+    callback = command.callback
+
+    @functools.wraps(callback)
+    def traced(*a, **kw):
+        calls.append(kw)
+        return callback(*a, **kw)
+
+    monkeypatch.setattr(command, "callback", traced)
+    with pytest.raises(SystemExit) as ended:
+        main(args=argv, prog_name="freedf")
+    out, err = capsysbinary.readouterr()
+    assert (ended.value.code, len(calls)) == (code, 1)
+    assert (out, err) == (plain.stdout_bytes, plain.stderr_bytes)
 
 
 # (subcommand or None for the group, sha256 of `freedf [subcommand] --help` at 80 columns)
@@ -204,6 +239,58 @@ def test_help_covers_every_command():
 @pytest.mark.parametrize("command,digest", HELP, ids=[c or "freedf" for c, _ in HELP])
 def test_help_is_frozen(command, digest):
     args = [command, "--help"] if command else ["--help"]
-    result = CliRunner().invoke(main, args, prog_name="freedf", terminal_width=80)
+    result = invoke(args, terminal_width=80)
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+# Usage errors and help as `python -m freedf.cli` prints them in a fresh
+# interpreter, so the program name and terminal width are the real ones:
+# (id, argv, COLUMNS, exit code, sha256 of stdout + NUL + stderr). Each
+# digest was recorded from the click-based parser that this one replaced.
+USAGE = [
+    ("no-arguments", "", "80", 2,
+     "91f5131be51f93299986011f8fa826213dd20cad74604be1de87cb948d7169a3"),
+    ("group-help-60-columns", "--help", "60", 0,
+     "f7a366106834b5b156ce7e35d07fff3ca306d3f98f6e4f9f855406fa87850a1d"),
+    ("unknown-command", "chek --category o+", "80", 2,
+     "feaaae146680fcafec69afa7ff0a87272032370eb07326dfb8e3a63090845734"),
+    ("unknown-command-far", "zzz", "80", 2,
+     "2b60f2b900efb71681600885a56fa6e6f247f00a72622995883ed075ccfd9b2d"),
+    ("unknown-option-close", "partitions --m 3 --noncrosing", "80", 2,
+     "360e5e1c4b9fb087a6a0dae5d9aa5d34cbda851bbab0b9d5cdf48cbe8eb15b21"),
+    ("unknown-option-far", "partitions --m 3 --xyz", "80", 2,
+     "fb7f189e4dee0a96170df51b9e13df9528aeb939f4ffb6ddb7258ba882ac6da9"),
+    ("unknown-short-option", "partitions -m 3", "80", 2,
+     "2e80d19623f6010386f36e15892fcd840109ae70f32b8c2a0935d8cabd83e296"),
+    ("option-without-value", "partitions --m", "80", 2,
+     "8ac0effb721660b2148fda585e5fab2677d32d588dc915cf464d8e961e60bfdf"),
+    ("flag-with-value", "partitions --m 3 --noncrossing=yes", "80", 2,
+     "87f30b55ac0b442d8d6de2257d92352b9ae41674590ed5169747565016b18ada"),
+    ("bad-integer", "partitions --m x", "80", 2,
+     "c0387ed796601cbb5d5c588e0b45f5530c994c4c089a43696dcba9f1911ab2e6"),
+    ("bad-float", "check --mode float --tolerance x", "80", 2,
+     "d2ee31bc6bd867e20c88ebc26adedf29a0c0b8a9511b965a95faa6462aacda81"),
+    ("bad-choice", "transform --to moment --input x.json", "80", 2,
+     "a1766c4050a89f18f090d08be1109f3e617005c3eadbaac093a69ce0722e3585"),
+    ("missing-required", "gram --category o+ --m 4", "80", 2,
+     "9daae225548a9d1cf883b46c961451a553e2ffd4bc6dc42523b487d3646c8d1f"),
+    ("missing-choice", "transform --input x.json", "80", 2,
+     "b4d911f3f33fbf99f9503fd5e394a321996037a7a0ccae1e3e85ed4ac1c8dabf"),
+    ("extra-argument", "partitions --m 3 extra", "80", 2,
+     "7ac77f496139c583d2b048995099d0234978edee98d0e49d12842f948ee96686"),
+    ("equals-value", "partitions --m=4 --category=o+", "80", 0,
+     "b6e7617008a53865637d84bc7b5dac1f6d337921fb27ab04b2a0b2ff7a0a3fa2"),
+    ("repeated-option", "partitions --m 9 --m 3 --format text", "80", 0,
+     "8f7039aab09e1d03be341577918165ecd29e33f51f28db472483f1c9b719d745"),
+    ("help-after-bad-value", "partitions --m x --help", "80", 0,
+     "0312acd58706dc258613fff0dee860e521f56e1b66d10cdbe6ae6972e25766d8"),
+]
+
+
+@pytest.mark.parametrize("args,columns,code,digest", [c[1:] for c in USAGE], ids=[c[0] for c in USAGE])
+def test_usage_is_frozen(args, columns, code, digest):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""), COLUMNS=columns)
+    env.pop("FREEDF_CACHE_DIR", None)
+    got = subprocess.run([sys.executable, "-m", "freedf.cli", *args.split()], env=env, capture_output=True, timeout=120)
+    assert (got.returncode, hashlib.sha256(got.stdout + b"\0" + got.stderr).hexdigest()) == (code, digest)

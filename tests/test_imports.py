@@ -20,7 +20,7 @@ from freedf.definetti import seed_coefficients, semicircular_model
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 LAZY = ("freedf.definetti", "freedf.certify", "freedf.families", "freedf.probes", "freedf.posets")
-# what `import freedf` loads: the matrix layer, before the CLI loads click
+# what `import freedf` loads: the matrix layer
 MATRIX = {"freedf", "freedf.errors", "freedf.partitions", "freedf.categories", "freedf.rationals", "freedf.weingarten"}
 
 
@@ -31,10 +31,13 @@ def python(*args):
 
 
 def cli_imports(*argv):
-    """The freedf modules that `python -X importtime -m freedf.cli argv` imports."""
+    """The freedf modules that `python -X importtime -m freedf.cli argv`
+    imports; the job must import no click, the command line's parser is
+    its own."""
     got = python("-X", "importtime", "-m", "freedf.cli", *map(str, argv))
     assert got.returncode == 0, got.stderr[-2000:]
     lines = [line.rpartition("|")[2].strip() for line in got.stderr.splitlines() if line.startswith("import time:")]
+    assert not [name for name in lines if name.partition(".")[0] == "click"], argv
     return {name for name in lines if name.startswith("freedf")}
 
 

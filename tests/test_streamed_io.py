@@ -24,6 +24,7 @@ from freedf.categories import S_PLUS
 from freedf.cumulants import MomentTable, table_from_json, table_from_text
 from freedf.definetti import generate_invariant_model, semicircular_model
 from freedf.errors import TableTooLarge
+from clirunner import invoke
 from test_cli_golden import _write_inputs
 
 
@@ -213,6 +214,7 @@ def test_emitted_table_is_json_dumps(dense6, tmp_path):
     path.write_text(json.dumps(dense6.to_json(), indent=2) + "\n")
     out = tmp_path / "out.json"
     args = ["transform", "--to", "cumulants", "--input", str(path), "--output", str(out)]
-    assert cli.main(args, standalone_mode=False) is None
+    result = invoke(args)
+    assert (result.exit_code, result.exception) == (0, None)
     text = out.read_text()
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
