@@ -5,6 +5,8 @@ calculus, free moment-cumulant transforms, and de Finetti invariance
 tools, all in exact rational arithmetic.
 """
 
+import sys
+
 from .categories import (
     B_PLUS,
     H_PLUS,
@@ -27,13 +29,14 @@ from .partitions import (
     parse_partition,
     restrict,
 )
-from .weingarten import gram, haar_moment, verify_inverse, weingarten, wg_scaled
 
 __version__ = "0.1.0"
 
-# The names of __all__ not imported above are the table, de Finetti and
-# poset layers. They load on first use (PEP 562), so jobs that never reach
-# them do not compile them.
+# The names of __all__ not imported above are the matrix, table, de Finetti
+# and poset layers. They load on first use (PEP 562), so jobs that never
+# reach them do not compile them: `import freedf` compiles only categories,
+# partitions and errors.
+_MATRIX = ("gram", "haar_moment", "verify_inverse", "weingarten", "wg_scaled")
 _POSETS = ("FinitePoset", "mobius", "mobius_to_top_full_lattice", "mobius_to_top_nc")
 _TABLES = ("CumulantTable", "MomentTable", "cumulants_from_moments", "kappa_pi", "moments_from_cumulants",
            "phi_pi", "table_from_json")
@@ -42,9 +45,23 @@ _TABLES = ("CumulantTable", "MomentTable", "cumulants_from_moments", "kappa_pi",
 def __getattr__(name):
     if name not in __all__:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    home = "posets" if name in _POSETS else "cumulants" if name in _TABLES else "definetti"
+    home = ("weingarten" if name in _MATRIX else "posets" if name in _POSETS else "cumulants" if name in _TABLES
+            else "definetti")
     value = globals()[name] = getattr(__import__(home, globals(), None, [name], 1), name)
     return value
+
+
+class _Package(type(sys)):
+    """The import system binds each submodule it loads on the package;
+    bind the weingarten one as its function, which freedf.weingarten is."""
+
+    def __setattr__(self, name, value):
+        if name == "weingarten" and type(value) is type(sys):
+            value = value.weingarten
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 
 def __dir__():

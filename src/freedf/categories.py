@@ -20,6 +20,7 @@ import enum
 import itertools
 from collections import Counter
 from functools import cache
+from operator import itemgetter
 
 from .errors import OrderTooLarge, UnknownCategory
 from .partitions import Partition, canonicalize, is_noncrossing, kernel, kernel_classes, num_blocks
@@ -133,14 +134,23 @@ def incidence(cat, m, n):
     """{tau: [a, ...]} with C(m)[a] <= tau, over the classes with #tau <= n.
 
     Each RGS rho of sigma's blocks with at most n blocks gives the already
-    canonical tau = (rho[l] for l in sigma); tau without sigma is absent.
-    At m = 0 the empty partition lies below itself.
+    canonical tau = (rho[l] for l in sigma), read by one itemgetter per
+    sigma; tau without sigma is absent. Below m = 2, where an itemgetter
+    gives a label, not a tuple: () <= () and, when n >= 1, (0,) <= (0,).
     """
     got = {}
+    get = got.get
     for a, sigma in enumerate(enumerate_category(cat, m)):
-        k = num_blocks(sigma)
-        for rho in kernel_classes(k, n) if k else [()]:
-            got.setdefault(tuple(map(rho.__getitem__, sigma)), []).append(a)
+        if m > 1:
+            taus = map(itemgetter(*sigma), kernel_classes(num_blocks(sigma), n))
+        else:
+            taus = [()] if not m else [(0,)] * (n > 0)
+        for tau in taus:
+            row = get(tau)
+            if row is None:
+                got[tau] = [a]
+            else:
+                row.append(a)
     return got
 
 

@@ -26,7 +26,6 @@ from .cumulants import DENSE, class_ranks, representative_tuple, tuple_kernels
 from .errors import NotInvariant, NotKernelRepresentable, OrderExceedsN, SchemaError, TableTooLarge
 from .partitions import kernel_classes, num_blocks, render_index_tuple
 from .rationals import DENSE_GUARD, format_rational, scale_into, to_integers
-from .weingarten import weingarten
 
 MAX_WITNESSES = 100
 _ZERO = Fraction(0)
@@ -112,6 +111,7 @@ def _averaged(mt, cat, m, view):
         if v:
             for a in below.get(tau, ()):
                 S[a] += v
+    from .weingarten import weingarten
     wg = weingarten(cat, m, n)
     D, num = wg.D, wg.num
     support = [(b, v) for b, v in enumerate(S) if v]

@@ -19,17 +19,18 @@ computation errors, an unwritable --output included (the latter with a
 machine-readable JSON object on stderr).
 
 Each job compiles only the layers its command calls. `import freedf`
-compiles the matrix layer (weingarten, categories, partitions,
-rationals, errors). A command imports the table layer (cumulants) and
-its de Finetti family (definetti.py maps them) as the first statement of
-its body, before any input is read, and reads each function there, at
-call time.
+compiles categories, partitions and errors, and this module adds
+rationals. A command imports the matrix layer (weingarten), or the table
+layer (cumulants) and its de Finetti family (definetti.py maps them), as
+the first statement of its body, before any input is read, and reads
+each function there, at call time.
 
 The command line is parsed here with the standard library alone: `main`
 is a Group, each command a Command whose options the `option` decorator
 declares. They follow click 8's rules and print click's bytes for this
 CLI: the help pages, and usage errors on stderr with exit 2, "Did you
-mean" hints included (frozen in tests/test_cli_golden.py). Loading click
+mean" hints included (frozen in tests/test_cli_golden.py), rendered by
+clihelp.py, which only a job that prints them imports. Loading click
 cost each job more than parsing a flat option list does: without
 bytecode, `weingarten --category o+ --m 4 --n 5` ran in 78.2 ms with
 click and 60.1 ms without, and peaked at 17.3 against 16.1 MB (medians
@@ -40,8 +41,6 @@ import functools
 import itertools
 import json
 import operator
-import os
-import shutil
 import sys
 
 from .categories import enumerate_category, parse_category
@@ -54,26 +53,17 @@ from .partitions import (
     parse_partition,
 )
 from .rationals import format_rational, parse_count, parse_layers, parse_rational, parse_rgs_key
-from .weingarten import gram, haar_moment, matrix_json, weingarten
 
 
 class UsageError(Exception):
     """A mistake on the command line: exit 2 with "Error: message" on
-    stderr, after the command's usage line when usage is true."""
+    stderr, after the command's usage line when usage is true. close is
+    (name, known) when the message names an unknown name: the names of
+    known close to it are suggested."""
 
-    def __init__(self, message, usage=True):
+    def __init__(self, message, usage=True, close=None):
         super().__init__(message)
-        self.usage = usage
-
-
-def _suggest(message, name, known):
-    """message, and the names in known close to name, as click words it."""
-    from difflib import get_close_matches
-
-    close = sorted(get_close_matches(name, known))
-    if len(close) > 1:
-        return "%s (Did you mean one of: %s?)" % (message, ", ".join(map(repr, close)))
-    return "%s Did you mean %r?" % (message, close[0]) if close else message
+        self.usage, self.close = usage, close
 
 
 class Choice:
@@ -88,12 +78,11 @@ class Choice:
         return text
 
 
-_TYPE_NAMES = {str: "text", int: "integer", float: "float"}
-
-
 class Option:
     """One `--flag value` (or `--flag`) option, declared as click.option
     declares it: the flag, then the name of its argument if not the flag's."""
+
+    TYPE_NAMES = {str: "text", int: "integer", float: "float"}
 
     def __init__(self, flag, dest=None, type=str, default=None, required=False, is_flag=False, multiple=False,
                  help=""):
@@ -117,15 +106,9 @@ class Option:
         try:
             return self.type(text)
         except ValueError as e:
-            why = str(e) if isinstance(self.type, Choice) else "%r is not a valid %s." % (text, _TYPE_NAMES[self.type])
+            why = str(e) if isinstance(self.type, Choice) else "%r is not a valid %s." % (
+                text, self.TYPE_NAMES[self.type])
             raise UsageError("Invalid value for %r: %s" % (self.flag, why)) from None
-
-    def record(self):
-        """The option's row in the help page."""
-        choice = isinstance(self.type, Choice)
-        metavar = "[%s]" % "|".join(self.type.choices) if choice else _TYPE_NAMES[self.type].upper()
-        term = self.flag if self.is_flag else "%s %s" % (self.flag, metavar)
-        return term, "  ".join(filter(None, [self.help, "[required]" * self.required]))
 
 
 HELP = Option("--help", is_flag=True, help="Show this message and exit.")
@@ -169,8 +152,9 @@ class Command:
             flag, eq, text = arg.partition("=")
             option = known.get(flag)
             if option is None:  # one dash starts short options; there are none
-                no_such = "No such option %r."
-                raise UsageError(_suggest(no_such % flag, flag, known) if arg[:2] == "--" else no_such % arg[:2])
+                if arg[:2] == "--":
+                    raise UsageError("No such option %r." % flag, close=(flag, known))
+                raise UsageError("No such option %r." % arg[:2])
             if option.is_flag and eq:
                 raise UsageError("Option %r does not take a value." % flag, usage=False)
             if not (eq or option.is_flag or args):
@@ -187,18 +171,6 @@ class Command:
         converted in the order first given, the rest in the order declared."""
         options = [*given, *(o for o in self.options if o not in given)]
         return {o.dest: o.value(given.get(o)) for o in options if o is not HELP}
-
-    def usage_line(self, path, width):
-        prefix = "Usage: %s " % path
-        if width >= len(prefix) + 20:
-            return _fill(self.usage, width, prefix, " " * len(prefix))
-        return prefix + "\n" + _fill(self.usage, width, " " * 11, " " * 11)
-
-    def help_page(self, path, width):
-        """The --help page, laid out as click lays it out at this width;
-        the help text is one line."""
-        options = "Options:\n" + _rows([o.record() for o in self.options], width)
-        return "\n\n".join([self.usage_line(path, width), _fill(self.help, width, "  ", "  "), options])
 
 
 class Group(Command):
@@ -221,16 +193,11 @@ class Group(Command):
 
         return register
 
-    def help_page(self, path, width):
-        limit = width - 6 - max(map(len, self.commands))
-        rows = [(name, _short_help(self.commands[name].help, limit)) for name in sorted(self.commands)]
-        return super().help_page(path, width) + "\n\nCommands:\n" + _rows(rows, width)
-
-    def _scan(self, args, path, width):
+    def _scan(self, args, words, width):
         """The group's own options: --help prints the page and exits 0."""
         given, rest = self.parse(args, interspersed=False)
         if HELP in given:
-            sys.stdout.write(self.help_page(path, width) + "\n")
+            _print_help(sys.stdout, self, words, width)
             sys.exit(0)
         return rest
 
@@ -238,25 +205,23 @@ class Group(Command):
         """Run one command line, sys.argv[1:] by default; always ends in
         SystemExit. The dispatcher reads a command's callback at call time."""
         args = sys.argv[1:] if args is None else list(args)
-        path = prog_name or _program_name()
-        width = terminal_width or max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
-        cmd = self
+        cmd, words, width = self, [prog_name], terminal_width
         try:
             if not args:
-                sys.stderr.write(self.help_page(path, width) + "\n")
+                _print_help(sys.stderr, self, words, width)
                 sys.exit(2)
-            rest = self._scan(args, path, width)
+            rest = self._scan(args, words, width)
             if not rest:
                 raise UsageError("Missing command.")
             name, args = rest[0], rest[1:]
             if name not in self.commands:
                 if name[:1] and not name[:1].isalnum():
-                    self._scan(rest, path, width)  # click reads such a name as group options too
-                raise UsageError(_suggest("No such command %r." % name, name, self.commands))
-            cmd, path = self.commands[name], path + " " + name
+                    self._scan(rest, words, width)  # click reads such a name as group options too
+                raise UsageError("No such command %r." % name, close=(name, self.commands))
+            cmd, words = self.commands[name], words + [name]
             given, extra = cmd.parse(args)
             if HELP in given:
-                sys.stdout.write(cmd.help_page(path, width) + "\n")
+                _print_help(sys.stdout, cmd, words, width)
                 sys.exit(0)
             kwargs = cmd.arguments(given)
             if extra:
@@ -264,8 +229,10 @@ class Group(Command):
             cmd.callback(**kwargs)
         except UsageError as e:
             if e.usage:
-                sys.stderr.write("%s\nTry '%s --help' for help.\n\n" % (cmd.usage_line(path, width), path))
-            sys.stderr.write("Error: %s\n" % e)
+                from .clihelp import usage_error
+                sys.stderr.write(usage_error(cmd, words, width, e))
+            else:
+                sys.stderr.write("Error: %s\n" % e)
             sys.exit(2)
         except KeyboardInterrupt:
             sys.stderr.write("\nAborted!\n")
@@ -273,55 +240,11 @@ class Group(Command):
         sys.exit(0)
 
 
-def _program_name():
-    """`python -m freedf.cli` when run as a module, else the script's name."""
-    name = os.path.basename(sys.argv[0])
-    package = getattr(sys.modules["__main__"], "__package__", None)
-    return "python -m %s.%s" % (package, os.path.splitext(name)[0]) if package else name
-
-
-def _fill(text, width, first, later):
-    import textwrap
-
-    return textwrap.fill(text, width, initial_indent=first, subsequent_indent=later, replace_whitespace=False)
-
-
-def _rows(rows, width):
-    """A definition list as click writes it: the terms in a column up to
-    30 wide, each text wrapped beside its term."""
-    import textwrap
-
-    col = min(max(len(term) for term, _ in rows), 30) + 2
-    out = []
-    for term, text in rows:
-        lines = textwrap.wrap(text, max(width - col - 2, 10), replace_whitespace=False)
-        gap = " " * (col - len(term)) if len(term) <= col - 2 else "\n" + " " * (col + 2)
-        out.append("  " + term + (gap + ("\n" + " " * (col + 2)).join(lines) if lines else ""))
-    return "\n".join(out)
-
-
-def _short_help(text, limit):
-    """A command's line in the group's help: its first sentence, or as
-    many words as fit in limit, then "...", by click's rule."""
-    words = text.split()
-    total = -1
-    for i, word in enumerate(words):
-        total += len(word) + 1
-        if total > limit:
-            break
-        if word.endswith("."):
-            return " ".join(words[: i + 1])
-        if total == limit and i != len(words) - 1:
-            break
-    else:
-        return " ".join(words)
-    total += 3
-    while i > 0:
-        total -= len(words[i]) + 1
-        if total <= limit:
-            break
-        i -= 1
-    return " ".join(words[:i]) + "..."
+def _print_help(stream, cmd, words, width):
+    """Write cmd's help page: words are its path, the program's name (or
+    None) first; a width of None is the terminal's."""
+    from .clihelp import help_page
+    stream.write(help_page(cmd, words, width) + "\n")
 
 
 def _emits(text=None, failed=None):
@@ -495,6 +418,7 @@ def _matrix_cmd(kind):
     @option("--n", type=int, required=True)
     @_emits(text=_matrix_text)
     def cmd(category_text, m, n):
+        from .weingarten import gram, matrix_json, weingarten
         cat = parse_category(category_text)
         return matrix_json(gram(cat, m, n) if kind == "gram" else weingarten(cat, m, n))
 
@@ -515,6 +439,7 @@ main.command("weingarten")(_matrix_cmd("weingarten"))
 @_emits(text=_value_text)
 def haar_cmd(category_text, n, i_text, j_text):
     """Haar-state moment of generators via the Weingarten formula."""
+    from .weingarten import haar_moment
     cat = parse_category(category_text)
     v = haar_moment(cat, n, parse_index_tuple(i_text, n), parse_index_tuple(j_text, n))
     return {"category": cat.value, "n": n, "i": i_text, "j": j_text, "value": format_rational(v)}

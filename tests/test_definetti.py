@@ -1,4 +1,5 @@
 import copy
+import importlib
 import itertools
 import json
 import random
@@ -57,6 +58,8 @@ from freedf.partitions import (
     singletons,
 )
 from freedf.weingarten import weingarten
+
+wg_module = importlib.import_module("freedf.weingarten")
 
 ALL_CATS = (O_PLUS, S_PLUS, H_PLUS, B_PLUS)
 
@@ -819,12 +822,12 @@ def test_passing_orders_need_no_weingarten(monkeypatch):
     def refuse(cat, m, n):
         raise AssertionError("Weingarten matrix requested at %s m=%d n=%d" % (cat, m, n))
 
-    monkeypatch.setattr(certify_module, "weingarten", refuse)
+    monkeypatch.setattr(wg_module, "weingarten", refuse)
     assert check_invariance(mt, S_PLUS).passed
     assert check_invariance(dense, O_PLUS).passed
     # a failing order m <= n is averaged (for its witnesses); lower orders are not
     requested = []
-    monkeypatch.setattr(certify_module, "weingarten", lambda cat, m, n: requested.append(m) or weingarten(cat, m, n))
+    monkeypatch.setattr(wg_module, "weingarten", lambda cat, m, n: requested.append(m) or weingarten(cat, m, n))
     dense.values[4][(1, 1, 2, 2)] += 1
     report = check_invariance(dense, O_PLUS)
     assert not report.passed and requested == [4]

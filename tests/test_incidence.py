@@ -79,6 +79,25 @@ def test_index_equals_leq_filter(cat):
             assert got == {tau: b for tau, b in want.items() if num_blocks(tau) <= n}, (cat, m, n)
 
 
+def tuple_index(cat, m, n):
+    """The index built one tau at a time: rho read at each position of sigma."""
+    got = {}
+    for a, sigma in enumerate(enumerate_category(cat, m)):
+        k = num_blocks(sigma)
+        for rho in kernel_classes(k, n) if k else [()]:
+            got.setdefault(tuple(map(rho.__getitem__, sigma)), []).append(a)
+    return got
+
+
+@pytest.mark.parametrize("cat", ALL_CATS, ids=str)
+def test_index_equals_the_tuple_construction(cat):
+    cases = [(m, n) for m in range(8) for n in range(9)] + [(12, 3)] * (cat is O_PLUS)
+    for m, n in cases:
+        got, want = incidence(cat, m, n), tuple_index(cat, m, n)
+        assert got == want and list(got) == list(want), (cat, m, n)  # insertion order too
+        assert all(type(tau) is tuple for tau in got), (cat, m, n)
+
+
 def test_index_is_cached_and_counts_pairs():
     assert incidence(S_PLUS, 5, 3) is incidence(S_PLUS, 5, 3)
     # sum over sigma in NC(7) of Bell(#sigma)
