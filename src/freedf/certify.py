@@ -259,11 +259,12 @@ def _zeta_solve(view, cat, m, n):
 
     Used beyond the m <= n regime where the triangular route is not
     available. Free variables are pinned to 0 and uniqueness reported.
-    Above DENSE_GUARD matrix entries it raises before building anything.
+    Above DENSE_GUARD elimination steps (rows x cols x min(rows, cols))
+    it raises before building anything.
     """
     basis = enumerate_category(cat, m)
     classes = kernel_classes(m, n)
-    if len(classes) * len(basis) > DENSE_GUARD:
+    if len(classes) * len(basis) * min(len(classes), len(basis)) > DENSE_GUARD:
         raise TableTooLarge("the m > n solve needs a %d x %d matrix" % (len(classes), len(basis)))
     below = incidence(cat, m, n)
     rows = []

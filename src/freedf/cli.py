@@ -6,9 +6,9 @@ asymptotics, block-sum. Each command returns one JSON document, and one
 wrapper, _emits, writes it: as deterministic JSON (indent 2), or with
 `--format text` as a terse rendering on the seven commands that have
 one (partitions, gram, weingarten, haar, check, reconstruct, block-sum).
-The JSON is the bytes of json.dumps(doc, indent=2) + "\n", written by
-json_pieces a bounded piece at a time (a matrix row, up to WRITE_BATCH
-entries of a table order), so no job holds its whole output text.
+The JSON is the bytes of json.dumps(doc, indent=2) + "\n": json_pieces
+joins the standard encoder's tokens WRITE_BATCH at a time, and each
+piece is written as it is made, so no job holds its whole output text.
 `--output FILE` writes the same bytes to FILE instead of stdout.
 Tables are read by table_from_text, one slice of an order at a time.
 Rationals are "p/q" strings.
@@ -30,17 +30,12 @@ is a Group, each command a Command whose options the `option` decorator
 declares. They follow click 8's rules and print click's bytes for this
 CLI: the help pages, and usage errors on stderr with exit 2, "Did you
 mean" hints included (frozen in tests/test_cli_golden.py), rendered by
-clihelp.py, which only a job that prints them imports. Loading click
-cost each job more than parsing a flat option list does: without
-bytecode, `weingarten --category o+ --m 4 --n 5` ran in 78.2 ms with
-click and 60.1 ms without, and peaked at 17.3 against 16.1 MB (medians
-of 31 runs, 2-vCPU x86-64 VM, Python 3.11).
+clihelp.py, which only a job that prints them imports.
 """
 
 import functools
 import itertools
 import json
-import operator
 import sys
 
 from .categories import enumerate_category, parse_category
@@ -285,44 +280,16 @@ def _emits(text=None, failed=None):
     return wrap
 
 
-_encode = json.encoder.encode_basestring_ascii
-WRITE_BATCH = 4096  # entries of a container that json_pieces joins into one piece
+_ENCODER = json.JSONEncoder(indent=2)  # json.dumps(doc, indent=2) is "".join of its iterencode(doc)
+WRITE_BATCH = 1024  # encoder tokens that json_pieces joins into one piece
 
 
-def json_pieces(x, nl="\n"):
-    """The text of json.dumps(x, indent=2), in pieces, for x on a line
-    that nl (a newline and the indent) ends.
-
-    A non-empty list, or dict with string keys, is written one entry at a
-    time, or, when its entries are all strings, WRITE_BATCH entries to a
-    join; anything else is json.dumps(x, indent=2), re-indented.
-    """
-    inner = nl + "  "
-    if type(x) is dict and x and set(map(type, x)) == {str}:
-        brackets, heads, values = "{}", map("%s: ".__mod__, map(_encode, x)), x.values()
-    elif type(x) is list and x:
-        brackets, heads, values = "[]", itertools.repeat(""), x
-    else:
-        yield json.dumps(x, indent=2).replace("\n", nl)
-        return
-    if set(map(type, values)) == {str}:
-        yield from _joined(brackets[0] + inner, "," + inner, map(operator.add, heads, map(_encode, values)))
-    else:
-        sep = brackets[0] + inner
-        for head, value in zip(heads, values):
-            yield sep + head
-            yield from json_pieces(value, inner)
-            sep = "," + inner
-    yield nl + brackets[1]
-
-
-def _joined(head, sep, entries):
-    """head + sep.join(entries), in pieces of at most WRITE_BATCH entries;
-    no entry is empty."""
-    while piece := sep.join(itertools.islice(entries, WRITE_BATCH)):
-        yield head
-        yield piece
-        head = sep
+def json_pieces(doc):
+    """The text of json.dumps(doc, indent=2), in pieces of WRITE_BATCH of
+    the encoder's tokens."""
+    tokens = _ENCODER.iterencode(doc)
+    for first in tokens:
+        yield first + "".join(itertools.islice(tokens, WRITE_BATCH - 1))
 
 
 def _load_json(path):

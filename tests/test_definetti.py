@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import random
+import time
 from math import perm
 
 import pytest
@@ -45,6 +46,7 @@ from freedf.errors import (
     OrderExceedsN,
     SchemaError,
     SingularGram,
+    TableTooLarge,
 )
 from freedf.partitions import (
     enumerate_partitions,
@@ -296,6 +298,16 @@ def test_solve_beyond_n_refuses_an_inconsistent_system():
         with pytest.raises(NotInvariant, match="the kernel-class system is inconsistent"):
             solve_moment_coefficients(bad, O_PLUS, 4)
         assert check_invariance(bad, O_PLUS).verdict == "FAIL"
+
+
+def test_solve_beyond_n_is_refused_by_its_elimination_steps():
+    # 855 kernel classes x 127 b+ partitions is under DENSE_GUARD entries,
+    # but 855 x 127 x 127 = 13.8 M elimination steps is over it
+    mt = generate_invariant_model(B_PLUS, 5, 7, seed=1)
+    start = time.perf_counter()
+    with pytest.raises(TableTooLarge, match="the m > n solve needs a 855 x 127 matrix"):
+        solve_moment_coefficients(mt, B_PLUS, 7)
+    assert time.perf_counter() - start < 1
 
 
 def test_solve_cumulant_side():

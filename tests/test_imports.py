@@ -78,6 +78,7 @@ def inputs(tmp_path_factory, kernel_table):
         (("transform", "--to", "cumulants", "--input", "@table"), {"cumulants"}),
         # order 4 > n = 3 is averaged, so this check builds a Weingarten matrix
         (("check", "--category", "s+", "--input", "@table"), {"cumulants", "definetti", "certify", "weingarten", "rotation"}),
+        (("check", "--category", "o+", "--input", "@table"), {"cumulants", "definetti", "certify", "weingarten", "rotation"}),
         # every order m <= n passes by the triangular solve, without averaging
         (("check", "--category", "s+", "--input", "@sc4"), {"cumulants", "definetti", "certify"}),
         (("solve", "--category", "s+", "--which", "c", "--m", 3, "--input", "@table"), {"cumulants", "definetti", "certify"}),

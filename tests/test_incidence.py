@@ -163,11 +163,11 @@ def test_reconstruct_equals_moebius_route(cat, m, kernels):
 def test_solve_guard_fires_before_the_index(monkeypatch):
     mt = definetti.generate_invariant_model(O_PLUS, 4, 6, seed=3)
     incidence.cache_clear()
-    # 187 classes x 5 pairings = 935 entries
-    monkeypatch.setattr(certify, "DENSE_GUARD", 934)
+    # 187 classes x 5 pairings, eliminated in 187 x 5 x 5 = 4,675 steps
+    monkeypatch.setattr(certify, "DENSE_GUARD", 4674)
     with pytest.raises(TableTooLarge):
         solve_moment_coefficients(mt, O_PLUS, 6)
     assert incidence.cache_info().currsize == 0
-    monkeypatch.setattr(certify, "DENSE_GUARD", 935)
+    monkeypatch.setattr(certify, "DENSE_GUARD", 4675)
     sl = solve_moment_coefficients(mt, O_PLUS, 6)
     assert set(sl.values) == set(enumerate_category(O_PLUS, 6))

@@ -13,8 +13,10 @@ import json
 import math
 import os
 import random
+import sys
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +26,7 @@ from freedf.categories import S_PLUS
 from freedf.cumulants import MomentTable, table_from_json, table_from_text
 from freedf.definetti import generate_invariant_model, semicircular_model
 from freedf.errors import TableTooLarge
+from freedf.weingarten import matrix_json, weingarten
 from clirunner import invoke
 from test_cli_golden import _write_inputs
 
@@ -159,6 +162,18 @@ def test_writer_matches_json_dumps_on_random_documents(monkeypatch):
     for _ in range(2000):
         doc = random_doc(rng)
         assert "".join(cli.json_pieces(doc)) == json.dumps(doc, indent=2)
+
+
+def test_writer_joins_the_encoder_tokens(monkeypatch):
+    # a piece per WRITE_BATCH tokens, and the final newline: not a write per token
+    doc = matrix_json(weingarten(S_PLUS, 6, 8))
+    tokens = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(doc))
+    assert tokens == 17977
+    pieces = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(writelines=pieces.extend, flush=lambda: None))
+    cli._emits()(lambda: doc)()
+    assert "".join(pieces) == json.dumps(doc, indent=2) + "\n"
+    assert len(pieces) <= -(-tokens // cli.WRITE_BATCH) + 1
 
 
 def traced_peak(fn, *args):
