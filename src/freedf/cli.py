@@ -31,9 +31,16 @@ declares. They follow click 8's rules and print click's bytes for this
 CLI: the help pages, and usage errors on stderr with exit 2, "Did you
 mean" hints included (frozen in tests/test_cli_golden.py), rendered by
 clihelp.py, which only a job that prints them imports.
+
+Both process entries, the console script and `python -m freedf.cli`,
+call `run`: `main`, then gc.freeze(), so the collections the
+interpreter runs at exit skip every object still alive. `main` itself
+freezes nothing: a caller that lives on after it, such as the tests,
+keeps its garbage collectable.
 """
 
 import functools
+import gc
 import itertools
 import json
 import sys
@@ -539,5 +546,13 @@ def block_sum_cmd(input_path, p_text):
     return {"p": str(p), "n": table.n, "value": format_rational(normalized_block_sum(table, p))}
 
 
+def run():
+    """The process entry: main, then the heap frozen for the exit."""
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()

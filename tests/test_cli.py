@@ -1,5 +1,9 @@
+import gc
 import importlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from clirunner import invoke as run
@@ -598,3 +602,35 @@ def test_negative_n_exits_2_with_a_schema_error():
             "error": "schema-error",
             "message": "n must be a nonnegative integer, got -1",
         }
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# python -m freedf.cli, as a child interpreter runs it, then the freeze count
+FROZEN_AT_EXIT = """
+import gc, runpy, sys
+sys.argv = ["freedf", "partitions", "--m", "3"]
+try:
+    runpy.run_module("freedf.cli", run_name="__main__")
+finally:
+    sys.stderr.write("frozen %s\\n" % (gc.get_freeze_count() > 0))
+"""
+
+
+def test_the_process_entry_freezes_the_heap_at_exit():
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("FREEDF_CACHE_DIR", None)
+    got = subprocess.run([sys.executable, "-c", FROZEN_AT_EXIT], env=env, capture_output=True, text=True, timeout=120)
+    assert (got.returncode, got.stderr) == (0, "frozen True\n")
+    assert got.stdout == run_checked(["partitions", "--m", "3"])
+
+
+def test_main_freezes_nothing(tmp_path):
+    # in-process callers live on after main: their garbage must stay collectable
+    sc = semicircular_model(4, 3).to_dense()
+    sc.values[2][(1, 1)] = Fraction(2)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(sc.to_json()))
+    before = gc.get_freeze_count()
+    jobs = (["partitions", "--m", "3"], ["check", "--category", "o+", "--input", str(bad)], ["partitions", "--bogus"])
+    assert [run(args).exit_code for args in jobs] == [0, 1, 2]
+    assert gc.get_freeze_count() == before

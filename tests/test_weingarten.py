@@ -19,7 +19,7 @@ from freedf.errors import (
     TableTooLarge,
     UncertifiedInverse,
 )
-from freedf.partitions import join_num_blocks, one_block, parse_partition, relabel, singletons
+from freedf.partitions import Partition, join_num_blocks, one_block, parse_partition, relabel, singletons
 from freedf.rationals import format_rational
 from freedf.weingarten import (
     _ff_inverse,
@@ -756,6 +756,32 @@ def test_meander_determinant_of_the_o_plus_gram_matrix():
     # records for m <= 6; no other (k, n) here is
     assert {s for s in singular if s[1] <= 6} == {s for s in SINGULAR_SMALL if s[0] == "o+"}
     assert singular == {("o+", 2 * k, 1) for k in range(2, 6)}
+
+
+def fattened(p):
+    """The pairing of NC_2(2m) that fattens p in NC(m): point i becomes
+    2i and 2i+1, and around each block b_1 < ... < b_k, 2b_j + 1 pairs
+    with 2b_{j+1}, cyclically (2b_k + 1 with 2b_1)."""
+    labels = [0] * (2 * len(p))
+    for block in p.blocks():
+        for b, c in zip(block, block[1:] + block[:1]):
+            labels[2 * b + 1] = labels[2 * c] = b
+    return Partition(relabel(labels))
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (4, 3), (4, 5), (5, 3)])
+def test_fattening_carries_the_s_plus_weingarten_matrix_to_o_plus(m, n):
+    # an identity that holds whichever route weingarten() takes:
+    # W_o+(2m, n)[fat p][fat q] = n^(|p| + |q| - m) W_s+(m, n^2)[p][q]
+    basis = enumerate_category(S_PLUS, m)
+    fat = [fattened(p) for p in basis]
+    assert sorted(fat) == sorted(enumerate_category(O_PLUS, 2 * m))
+    s, o = weingarten(S_PLUS, m, n * n), weingarten(O_PLUS, 2 * m, n)
+    assert s.basis == tuple(basis)
+    for p, fp, w_row in zip(basis, fat, s.entries):
+        o_row = o.entries[o.index(fp)]
+        for q, fq, w in zip(basis, fat, w_row):
+            assert o_row[o.index(fq)] == Fraction(n) ** (p.num_blocks + q.num_blocks - m) * w, (m, n, p, q)
 
 
 # The rotation-block route of weingarten() against the full elimination,
