@@ -23,7 +23,8 @@ compiles categories, partitions and errors, and this module adds
 rationals. A command imports the matrix layer (weingarten), or the table
 layer (cumulants) and its de Finetti family (definetti.py maps them), as
 the first statement of its body, before any input is read, and reads
-each function there, at call time.
+each function there, at call time. The transforms (transforms.py) load
+only when transform or asymptotics reads them from cumulants.
 
 The command line is parsed here with the standard library alone: `main`
 is a Group, each command a Command whose options the `option` decorator
@@ -515,7 +516,9 @@ def reconstruct_cmd(category_text, input_path, i_text):
     """Moment of the infinite invariant sequence at an index tuple."""
     from .definetti import reconstruct_infinite
     cat = parse_category(category_text)
-    _, _, family = parse_family(_load_json(input_path), kinds=("phi",))
+    family_cat, _, family = parse_family(_load_json(input_path), kinds=("phi",))
+    if family_cat is not cat:
+        raise SchemaError("reconstruct --category %s got a phi family of category %s" % (cat, family_cat))
     v = reconstruct_infinite(family, cat, parse_index_tuple(i_text))
     return {"category": cat.value, "i": i_text, "value": format_rational(v)}
 

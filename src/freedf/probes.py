@@ -1,13 +1,14 @@
 """Probes of moment tables: the semicircular model, normalized block
 sums, and the asymptotic-freeness probe across a family in n, which
-alone certifies its tables (certify.py, imported when it runs).
+alone certifies and transforms its tables (certify.py and the
+transforms, imported when it runs).
 """
 
 from fractions import Fraction
 from math import perm
 
 from .categories import O_PLUS, S_PLUS, category_contains, enumerate_category, incidence
-from .cumulants import KERNEL, MomentTable, cumulants_from_moments
+from .cumulants import KERNEL, MomentTable
 from .errors import FreedfError, NotInvariant, NotNCPairing
 from .partitions import Partition, kernel_classes, num_blocks
 from .rationals import format_rational
@@ -96,6 +97,7 @@ def asymptotic_freeness_probe(models, cat, m, tolerance=Fraction(1, 10 ** 9)):
     first: a trend over the given tables, not a certificate of decay.
     """
     from .certify import _certify, _check_tolerance
+    from .cumulants import cumulants_from_moments
     _check_tolerance(tolerance)
     if cat not in (S_PLUS, O_PLUS):
         raise FreedfError("asymptotics probe supports categories s+ and o+ only")

@@ -10,10 +10,11 @@ are never memoised: a repeat call raises again.
 import pytest
 
 from freedf.categories import O_PLUS, PAIRING_CAP, S_PLUS, enumerate_category, incidence
-from freedf.cumulants import first_block_shapes, tuple_kernels
+from freedf.cumulants import tuple_kernels
 from freedf.errors import OrderTooLarge, SingularGram
 from freedf.partitions import DEFAULT_CAP, enumerate_partitions, kernel_classes
 from freedf.posets import category_poset, mobius_to_top_nc
+from freedf.transforms import first_block_shapes
 from freedf.weingarten import weingarten
 
 

@@ -304,6 +304,34 @@ def test_reconstruct_cli(tmp_path):
     assert out2 == "0/1\n"
 
 
+def test_reconstruct_refuses_a_family_of_another_category(tmp_path):
+    # an s+ phi~ family read with --category b+ was answered from its s+ values, with exit 0
+    values = {"1": {"0": "1/1"}, "2": {"0,0": "2/1", "0,1": "1/1"}}
+    fam = {"category": "s+", "kind": "phi", "max_order": 2, "values": values}
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(fam))
+    result = run(["reconstruct", "--category", "b+", "--input", str(path), "--i", "1,1"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    want = {"error": "schema-error", "message": "reconstruct --category b+ got a phi family of category s+"}
+    assert json.loads(result.stderr) == want
+    same = ["reconstruct", "--category", "s+", "--input", str(path), "--i", "1,1", "--format", "text"]
+    assert run_checked(same) == "2/1\n"
+
+
+def test_transform_calls_the_transforms_through_the_table_module(tmp_path, monkeypatch):
+    # a wrapper set on freedf.cumulants, where the benchmark's tracer sets its spans, sees every transform
+    cumulants = importlib.import_module("freedf.cumulants")
+    calls = []
+    for name in ("moments_from_cumulants", "cumulants_from_moments"):
+        real = getattr(cumulants, name)
+        monkeypatch.setattr(cumulants, name, lambda table, real=real, name=name: calls.append(name) or real(table))
+    model, cum = tmp_path / "model.json", tmp_path / "cum.json"
+    run_checked(["semicircular", "--n", "3", "--max-order", "3", "--output", str(model)])
+    run_checked(["transform", "--to", "cumulants", "--input", str(model), "--output", str(cum)])
+    run_checked(["transform", "--to", "moments", "--input", str(cum)])
+    assert calls == ["cumulants_from_moments", "moments_from_cumulants"]
+
+
 def test_block_sum_cli(tmp_path):
     path = tmp_path / "sc.json"
     run_checked(["semicircular", "--n", "5", "--max-order", "4", "--output", str(path)])

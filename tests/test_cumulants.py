@@ -17,11 +17,7 @@ from freedf.cumulants import (
     CumulantTable,
     MomentTable,
     Table,
-    _cut,
-    _transform,
-    _Words,
     cumulants_from_moments,
-    first_block_shapes,
     kappa_pi,
     kernel_classes,
     moments_from_cumulants,
@@ -62,7 +58,9 @@ from freedf.partitions import (
     singletons,
 )
 from freedf import cumulants as cumulants_module
+from freedf import transforms as transforms_module
 from freedf.rationals import parse_rational, scale_into
+from freedf.transforms import _cut, _transform, _Words, first_block_shapes
 from freedf.weingarten import haar_moment
 
 rationals = importlib.import_module("freedf.rationals")
@@ -197,9 +195,9 @@ def test_dense_transform_by_position_is_bounded(monkeypatch):
             convert(table)
     # the bound is exact: 2^3 * 2^4 = 128 steps at n=2, M=4
     small = perturbed_two_letter_table(4)
-    monkeypatch.setattr(cumulants_module, "DENSE_GUARD", 128)
+    monkeypatch.setattr(transforms_module, "DENSE_GUARD", 128)
     assert moments_from_cumulants(cumulants_from_moments(small)).values == small.values
-    monkeypatch.setattr(cumulants_module, "DENSE_GUARD", 127)
+    monkeypatch.setattr(transforms_module, "DENSE_GUARD", 127)
     with pytest.raises(TableTooLarge):
         cumulants_from_moments(small)
 

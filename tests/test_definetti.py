@@ -139,6 +139,27 @@ def test_generate_then_check_all_categories():
             assert report.passed, (cat, n)
 
 
+def reference_generate(cat, n, M, seed):
+    """generate's route before it went through the coefficient family: the
+    kernel cumulants kappa~(tau) = sum of C_pi over pi in C(m), pi <= tau,
+    through the kernel moment-cumulant transform."""
+    layers = {}
+    for m, sl in seed_coefficients(cat, n, M, seed).items():
+        C, below = list(sl.values()), incidence(cat, m, n)
+        layers[m] = [sum((C[a] for a in below.get(tau, ())), Fraction(0)) for tau in kernel_classes(m, n)]
+    return moments_from_cumulants(CumulantTable(n, M, layers, repr=KERNEL))
+
+
+@pytest.mark.parametrize("cat", ALL_CATS, ids=str)
+def test_generate_matches_the_transform_route(cat):
+    floor = 2 if cat is O_PLUS else 4
+    for M in range(8):
+        for n in range(floor, max(floor, M) + 1):
+            for seed in range(3):
+                got = generate_invariant_model(cat, n, M, seed).to_json()
+                assert got == reference_generate(cat, n, M, seed).to_json(), (cat, n, M, seed)
+
+
 def test_generate_floor():
     with pytest.raises(ValueError):
         generate_invariant_model(S_PLUS, 3, 3, seed=0)

@@ -23,7 +23,6 @@ from freedf.cumulants import (
     CumulantTable,
     DenseLayer,
     MomentTable,
-    _transform,
     cumulants_from_moments,
     kernel_classes,
     table_from_json,
@@ -31,6 +30,7 @@ from freedf.cumulants import (
 from freedf.definetti import check_invariance, generate_invariant_model
 from freedf.errors import FreedfError, IncompleteTable, SchemaError
 from freedf.partitions import kernel
+from freedf.transforms import _transform
 
 
 def words(n, m):

@@ -3,7 +3,8 @@
 Each case starts a fresh interpreter. Every job loads exactly the layers
 its command calls: matrix and partition jobs no table, de Finetti or poset
 module, transform no de Finetti module, and each de Finetti job only its
-own family (certify, families or probes). The matrix layer (weingarten,
+own family (certify, families or probes). The transforms load only in
+transform and asymptotics jobs. The matrix layer (weingarten,
 rotation) loads only in matrix jobs and in checks that average, and the
 help renderer (clihelp) only where help or a usage error is printed. The
 package keeps every public name: freedf.weingarten stays the function,
@@ -75,7 +76,7 @@ def inputs(tmp_path_factory, kernel_table):
         (("gram", "--category", "o+", "--m", 4, "--n", 2), {"weingarten", "rotation"}),
         (("haar", "--category", "s+", "--n", 3, "--i", "1,2,2,1", "--j", "1,1,2,2"), {"weingarten", "rotation"}),
         (("partitions", "--m", 4, "--category", "b+"), set()),
-        (("transform", "--to", "cumulants", "--input", "@table"), {"cumulants"}),
+        (("transform", "--to", "cumulants", "--input", "@table"), {"cumulants", "transforms"}),
         # order 4 > n = 3 is averaged, so this check builds a Weingarten matrix
         (("check", "--category", "s+", "--input", "@table"), {"cumulants", "definetti", "certify", "weingarten", "rotation"}),
         (("check", "--category", "o+", "--input", "@table"), {"cumulants", "definetti", "certify", "weingarten", "rotation"}),
@@ -92,13 +93,15 @@ def inputs(tmp_path_factory, kernel_table):
         (("block-sum", "--input", "@table", "--p", "0,0"), {"cumulants", "definetti", "probes"}),
         (
             ("asymptotics", "--category", "o+", "--m", 2, "--inputs", "@table", "--inputs", "@sc4"),
-            {"cumulants", "definetti", "probes", "certify"},
+            {"cumulants", "definetti", "probes", "certify", "transforms"},
         ),
     ],
 )
 def test_each_job_loads_exactly_its_layers(argv, layers, inputs):
     loaded = cli_imports(*(inputs.get(arg, arg) for arg in argv))
     assert loaded == BASE | {"freedf." + name for name in layers}, sorted(loaded)
+    # generate, check, solve, semicircular and block-sum read or build tables, and never transform one
+    assert ("freedf.transforms" in loaded) == (argv[0] in ("transform", "asymptotics")), sorted(loaded)
 
 
 @pytest.mark.parametrize(
@@ -143,6 +146,25 @@ def test_de_finetti_jobs_load_it(kernel_table):
     # the same probe sees the module when a command needs it
     assert "freedf.definetti" in cli_imports("semicircular", "--n", 2, "--max-order", 2)
     assert "freedf.definetti" in cli_imports("check", "--category", "s+", "--input", kernel_table)
+
+
+def test_the_table_module_loads_the_transforms_only_for_their_names():
+    code = """
+import sys
+import freedf.cumulants as cumulants
+from freedf.cumulants import Table, table_from_text
+refused = []
+for name in ("__path__", "__wrapped__", "__conform__", "no_such_name", "first_block_shapes", "_transform"):
+    try:
+        getattr(cumulants, name)
+    except AttributeError:
+        refused.append(name)
+before = "freedf.transforms" in sys.modules
+f = cumulants.moments_from_cumulants
+print(len(refused), before, f is sys.modules["freedf.transforms"].moments_from_cumulants)
+"""
+    got = python("-c", code)
+    assert got.returncode == 0 and got.stdout.split() == ["6", "False", "True"], got.stderr
 
 
 @pytest.mark.parametrize(
