@@ -32,23 +32,25 @@ from .partitions import (
 
 __version__ = "0.1.0"
 
-# The names of __all__ not imported above are the matrix, table, de Finetti
-# and poset layers. They load on first use (PEP 562), so jobs that never
-# reach them do not compile them: `import freedf` compiles only categories,
-# partitions and errors.
-_MATRIX = ("gram", "haar_moment", "verify_inverse", "weingarten", "wg_scaled")
-_POSETS = ("FinitePoset", "mobius", "mobius_to_top_full_lattice", "mobius_to_top_nc")
-_TABLES = ("CumulantTable", "MomentTable", "cumulants_from_moments", "kappa_pi", "moments_from_cumulants",
-           "phi_pi", "table_from_json")
 
+def _lazy(space, homes):
+    """The PEP 562 hooks (__getattr__, __dir__) of the module whose globals
+    are space, which lends each name of homes[home] from its sibling module
+    home, imported on the name's first use and the value kept in space.
+    Any other name is an AttributeError that imports nothing (`from .x
+    import y` also asks x for __path__), and dir() lists every lent name."""
+    home_of = {name: home for home, names in homes.items() for name in names}
 
-def __getattr__(name):
-    if name not in __all__:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    home = ("weingarten" if name in _MATRIX else "posets" if name in _POSETS else "cumulants" if name in _TABLES
-            else "definetti")
-    value = globals()[name] = getattr(__import__(home, globals(), None, [name], 1), name)
-    return value
+    def __getattr__(name):
+        if name not in home_of:
+            raise AttributeError("module %r has no attribute %r" % (space["__name__"], name))
+        value = space[name] = getattr(__import__(home_of[name], space, None, [name], 1), name)
+        return value
+
+    def __dir__():
+        return sorted({*space, *home_of})
+
+    return __getattr__, __dir__
 
 
 class _Package(type(sys)):
@@ -62,11 +64,6 @@ class _Package(type(sys)):
 
 
 sys.modules[__name__].__class__ = _Package
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})
-
 
 __all__ = [
     "B_PLUS",
@@ -118,3 +115,16 @@ __all__ = [
     "weingarten",
     "wg_scaled",
 ]
+
+# The names of __all__ not imported above are the matrix, poset, table and
+# de Finetti layers. They load on first use, so jobs that never reach them
+# do not compile them: `import freedf` compiles only categories, partitions
+# and errors.
+_LENT = {
+    "weingarten": ("gram", "haar_moment", "verify_inverse", "weingarten", "wg_scaled"),
+    "posets": ("FinitePoset", "mobius", "mobius_to_top_full_lattice", "mobius_to_top_nc"),
+    "cumulants": ("CumulantTable", "MomentTable", "cumulants_from_moments", "kappa_pi", "moments_from_cumulants",
+                  "phi_pi", "table_from_json"),
+}
+_LENT["definetti"] = [name for name in __all__ if name not in globals() and name not in sum(_LENT.values(), ())]
+__getattr__, __dir__ = _lazy(globals(), _LENT)

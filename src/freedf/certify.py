@@ -22,7 +22,7 @@ from math import lcm, perm
 from operator import ne
 
 from .categories import _forward_substitute, _incident_sums, enumerate_category, incidence
-from .cumulants import DENSE, class_ranks, representative_tuple, tuple_kernels
+from .cumulants import DENSE, representative_tuple, tuple_kernels
 from .errors import NotInvariant, NotKernelRepresentable, OrderExceedsN, SchemaError, TableTooLarge
 from .partitions import kernel_classes, num_blocks, render_index_tuple
 from .rationals import DENSE_GUARD, format_rational, scale_into, to_integers
@@ -103,8 +103,10 @@ def _averaged(mt, cat, m, view):
     n = mt.n
     if view is not None:
         sums = {tau: perm(n, num_blocks(tau)) * v for tau, v in zip(view, nums)}
-    else:  # each class's sum of its words, at their cached ranks
-        sums = dict(zip(kernel_classes(m, n), map(sum, map(map, itertools.repeat(nums.__getitem__), class_ranks(m, n)))))
+    else:  # each class's sum of its words, in one pass over the words' classes
+        sums = dict.fromkeys(kernel_classes(m, n), 0)
+        for tau, v in zip(tuple_kernels(m, n), nums):
+            sums[tau] += v
     below = incidence(cat, m, n)
     S = [0] * len(basis)
     for tau, v in sums.items():

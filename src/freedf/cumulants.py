@@ -21,8 +21,8 @@ any other key by its position: no layer is held as a dict of entries.
 
 The free transforms between tables live in transforms.py, which only a
 job that transforms compiles: kappa_pi, phi_pi, moments_from_cumulants
-and cumulants_from_moments are still names of this module, each loaded
-from there on first use (PEP 562).
+and cumulants_from_moments are still names of this module, lent from
+there on first use by the package's one PEP 562 hook (freedf._lazy).
 """
 
 import itertools
@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import cache, partial
 from operator import add, mul
 
+from . import _lazy
 from .errors import IncompleteTable, NotKernelRepresentable, OrderExceeded, SchemaError, TableTooLarge
 from .partitions import (
     DEFAULT_CAP,
@@ -47,20 +48,9 @@ from .rationals import DENSE_GUARD, parse_count, parse_layers, parse_rgs_key, ra
 
 DENSE = "dense"
 KERNEL = "kernel"
-_TRANSFORMS = ("cumulants_from_moments", "kappa_pi", "moments_from_cumulants", "phi_pi")
-
-
-def __getattr__(name):
-    # the name is checked first: `from .cumulants import x` also asks for __path__
-    if name not in _TRANSFORMS:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    from . import transforms
-    value = globals()[name] = getattr(transforms, name)
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *_TRANSFORMS})
+__getattr__, __dir__ = _lazy(
+    globals(), {"transforms": ("cumulants_from_moments", "kappa_pi", "moments_from_cumulants", "phi_pi")}
+)
 
 
 def _check_dense_size(n, max_order):
@@ -83,19 +73,12 @@ def tuple_kernels(m, n):
     kernel_classes(m, n) objects."""
     got = [None] * n ** m
     for tau in kernel_classes(m, n):
-        for rank in _class_ranks(tau, n):
+        for rank in _ranks_in_class(tau, n):
             got[rank] = tau
     return got
 
 
-@cache
-def class_ranks(m, n):
-    """[the product-order ranks of the words of tau] for each tau in
-    kernel_classes(m, n), built once per (m, n)."""
-    return [list(_class_ranks(tau, n)) for tau in kernel_classes(m, n)]
-
-
-def _class_ranks(tau, n):
+def _ranks_in_class(tau, n):
     """The ranks of the words of class tau: a word labels the blocks
     injectively, and its rank is the labels' dot product with the block weights."""
     weights = [0] * num_blocks(tau)
@@ -205,6 +188,9 @@ class Table:
                     raise SchemaError("order %d carries an unexpected key %r" % (m, stray[0]))
                 layer.update(given)
             self.values[m] = layer
+        stray = [m for m in values if m not in self.values]
+        if stray:
+            raise SchemaError("values carries an unexpected order %r" % (stray[0],))
 
     def value(self, i):
         """The entry at an index tuple (1-based values in [n])."""

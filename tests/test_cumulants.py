@@ -132,6 +132,22 @@ def test_table_refuses_a_max_order_the_reader_refuses(max_order):
     assert MomentTable(2, 0, {}).to_json()["max_order"] == 0
 
 
+@pytest.mark.parametrize("rep", [DENSE, KERNEL])
+def test_table_refuses_an_order_outside_its_orders(rep):
+    # Table() dropped orders 2 and 0 of a max_order 1 table, which
+    # table_from_json refuses
+    one, two = ([1, 1], [5, 7, 7, 5]) if rep == DENSE else ([1], [5, 7])
+    with pytest.raises(SchemaError, match="values carries an unexpected order 2"):
+        MomentTable(2, 1, {1: one, 2: two, 0: [3]}, repr=rep)
+    with pytest.raises(SchemaError, match="values carries an unexpected order 0"):
+        MomentTable(2, 0, {0: [3]}, repr=rep)
+    doc = MomentTable(2, 2, {1: one, 2: two}, repr=rep).to_json()
+    doc["max_order"] = 1
+    with pytest.raises(SchemaError, match="values carries an unexpected order '2'"):
+        table_from_json(doc)
+    assert MomentTable(2, 1, {1: one}, repr=rep).values.keys() == {1}
+
+
 def test_table_takes_either_layer_as_a_list_in_write_order():
     # a list is a layer's values in the order to_json writes them: product
     # order for a dense layer, kernel_classes order for a kernel layer

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from freedf.categories import O_PLUS, S_PLUS
+from freedf.categories import O_PLUS, S_PLUS, incidence
 from freedf.cumulants import (
     KERNEL,
     CumulantTable,
@@ -26,11 +26,13 @@ from freedf.cumulants import (
     cumulants_from_moments,
     kernel_classes,
     table_from_json,
+    tuple_kernels,
 )
 from freedf.definetti import check_invariance, generate_invariant_model
 from freedf.errors import FreedfError, IncompleteTable, SchemaError
 from freedf.partitions import kernel
 from freedf.transforms import _transform
+from freedf.weingarten import weingarten
 
 
 def words(n, m):
@@ -198,3 +200,27 @@ def test_parsed_dense_table_holds_a_list_slot_per_entry():
     assert time.perf_counter() - start < 2
     assert table.values[M][(1,) * M] is not None
     assert held <= 32 * entries, "%d bytes held for %d entries" % (held, entries)
+
+
+def test_a_dense_fail_check_keeps_one_word_to_class_index(monkeypatch):
+    # averaging a dense order that is not kernel-representable sums each
+    # class in one pass over tuple_kernels, which the witness pass reads
+    # anyway; a second cached index, from classes to ranks, holds 1.90 MB here
+    monkeypatch.delenv("FREEDF_CACHE_DIR", raising=False)
+    n = M = 6
+    table = generate_invariant_model(S_PLUS, n, M, seed=19).to_dense()
+    table.values[M][(1, 2, 1, 3, 3, 2)] = Fraction(7, 3)
+    weingarten(S_PLUS, M, n)
+    for m in range(1, M + 1):
+        incidence(S_PLUS, m, n), kernel_classes(m, n)
+    tuple_kernels(M, n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert not check_invariance(table, S_PLUS).passed
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 100_000, "%d bytes kept after the check" % held

@@ -1,5 +1,9 @@
 """The public names resolve, and every alias agrees with its twin."""
 
+import os
+import subprocess
+import sys
+
 import freedf
 from freedf.categories import O_PLUS, S_PLUS
 from freedf.cumulants import cumulants_from_moments, kappa_pi, phi_pi
@@ -22,6 +26,29 @@ def test_all_names_resolve():
     assert set(freedf.__all__) <= set(dir(freedf)) and dir(freedf) == sorted(dir(freedf))
     for name in freedf.__all__:
         assert getattr(freedf, name) is not None, name
+
+
+def test_the_de_finetti_facade_lends_only_its_names():
+    # a fresh interpreter, so that no family module is loaded beforehand
+    code = """
+import sys
+import freedf.definetti as definetti
+families = ("freedf.certify", "freedf.families", "freedf.probes")
+refused = []
+for name in ("__path__", "__wrapped__", "__conform__", "no_such_name", "certify", "ProbeEntries"):
+    try:
+        getattr(definetti, name)
+    except AttributeError:
+        refused.append(name)
+listed = set(definetti.__all__) <= set(dir(definetti)) and dir(definetti) == sorted(dir(definetti))
+before = [name for name in families if name in sys.modules]
+f = definetti.check_invariance
+print(len(refused), listed, before, f is sys.modules["freedf.certify"].check_invariance, "freedf.probes" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(freedf.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert got.returncode == 0 and got.stdout.split() == ["6", "True", "[]", "True", "False"], got.stderr
 
 
 def test_phi_pi_and_kappa_pi_agree():
